@@ -17,6 +17,8 @@ struct AddrCheckTelemetry
     telemetry::MetricId isolationViolations;
     telemetry::MetricId errorsFlagged;
     telemetry::MetricId blocksCommitted;
+    telemetry::MetricId pass2BlocksSkipped; ///< pass-2 blocks that
+                                            ///< could flag nothing
     telemetry::MetricId summarySize; ///< histogram, per pass-1 block
     telemetry::MetricId sosSize;     ///< gauge, keys in the SOS
 
@@ -32,6 +34,8 @@ struct AddrCheckTelemetry
             s.errorsFlagged = r.counter("bfly.addrcheck.errors_flagged");
             s.blocksCommitted =
                 r.counter("bfly.addrcheck.blocks_committed");
+            s.pass2BlocksSkipped =
+                r.counter("bfly.addrcheck.pass2_blocks_skipped");
             s.summarySize = r.histogram("bfly.addrcheck.summary_size");
             s.sosSize = r.gauge("bfly.addrcheck.sos_size");
             return s;
@@ -143,7 +147,8 @@ void
 ButterflyAddrCheck::commitBlock(EpochId l, ThreadId t,
                                 const std::vector<ErrorRecord> &local,
                                 std::uint64_t checks,
-                                std::uint64_t isolation)
+                                std::uint64_t isolation,
+                                bool pass2_skipped)
 {
     if (telemetry::enabled()) {
         // Per-block flush of the hot-path tallies (never per event).
@@ -153,7 +158,11 @@ ButterflyAddrCheck::commitBlock(EpochId l, ThreadId t,
         reg.add(m.isolationViolations, isolation);
         reg.add(m.errorsFlagged, local.size());
         reg.add(m.blocksCommitted);
+        if (pass2_skipped)
+            reg.add(m.pass2BlocksSkipped);
     }
+    if (local.empty() && checks == 0 && isolation == 0)
+        return; // nothing to commit: skip the lock
     std::lock_guard<std::mutex> guard(mutex_);
     for (const ErrorRecord &rec : local) {
         if (errors_.report(rec))
@@ -180,7 +189,7 @@ ButterflyAddrCheck::finishPass1(EpochId l, ThreadId t,
                                       s.genEnd.size() + s.killEnd.size() +
                                           s.access.size());
     }
-    commitBlock(l, t, local_errors, checks, 0);
+    commitBlock(l, t, local_errors, checks, 0, false);
 }
 
 void
@@ -434,9 +443,10 @@ ButterflyAddrCheck::pass2(const BlockView &block)
     const EpochId l = block.epoch;
     const ThreadId t = block.thread;
 
-    // Meet the wing summaries S_{l,t} (epochs l-1..l+1, threads != t).
-    AddrSet wing_genkill;
-    AddrSet wing_access;
+    // Collect the wing summaries S_{l,t} (epochs l-1..l+1, threads != t).
+    // They are probed in place per key; no per-block union is built.
+    std::vector<const AddrSet *> wing_changes; // allocAny / freeAny
+    std::vector<const AddrSet *> wing_access;
     const EpochId lo = l >= 1 ? l - 1 : 0;
     for (EpochId w = lo; w <= l + 1; ++w) {
         for (ThreadId u = 0; u < summaries_.size(); ++u) {
@@ -445,10 +455,34 @@ ButterflyAddrCheck::pass2(const BlockView &block)
             const BlockSummary *s = slotIfValid(w, u);
             if (!s)
                 continue;
-            wing_genkill.unionWith(s->allocAny);
-            wing_genkill.unionWith(s->freeAny);
-            wing_access.unionWith(s->access);
+            for (const AddrSet *set : {&s->allocAny, &s->freeAny})
+                if (!set->empty())
+                    wing_changes.push_back(set);
+            if (!s->access.empty())
+                wing_access.push_back(&s->access);
         }
+    }
+    auto in_any = [](const std::vector<const AddrSet *> &sets, Addr k) {
+        return std::any_of(sets.begin(), sets.end(),
+                           [k](const AddrSet *s) { return s->contains(k); });
+    };
+
+    // Skip what cannot flag, decided from the body's own pass-1 summary
+    // (every schedule keeps it alive until R(l)): alloc/free events only
+    // matter if the body has any, and access events only if some wing
+    // alloc/free set meets the body's ACCESS set.
+    const BlockSummary *own = slotIfValid(l, t);
+    ensure(own != nullptr, "pass 2 of a block without its pass-1 summary");
+    const bool check_changes =
+        !own->allocAny.empty() || !own->freeAny.empty();
+    const bool check_accesses =
+        std::any_of(wing_changes.begin(), wing_changes.end(),
+                    [own](const AddrSet *s) {
+                        return s->intersects(own->access);
+                    });
+    if (!check_changes && !check_accesses) {
+        commitBlock(l, t, {}, 0, 0, true);
+        return;
     }
 
     std::vector<ErrorRecord> local_errors;
@@ -456,58 +490,52 @@ ButterflyAddrCheck::pass2(const BlockView &block)
 
     // Isolation check (Section 6.1): a body alloc/free conflicts with any
     // concurrent alloc/free/access of the same key; a body access
-    // conflicts with any concurrent alloc/free of its key.
+    // conflicts with any concurrent alloc/free of its key. One record per
+    // checked range, at its first conflicting key.
     std::vector<Addr> keys;
+    auto check = [&](std::uint64_t index, Addr base, std::uint16_t size,
+                     bool state_change) {
+        keysOf(base, size, keys);
+        for (Addr k : keys) {
+            if (in_any(wing_changes, k) ||
+                (state_change && in_any(wing_access, k))) {
+                local_errors.push_back(ErrorRecord{
+                    t, index, base, ErrorKind::NonIsolatedOp, size});
+                ++isolation;
+                return;
+            }
+        }
+    };
+
     for (InstrOffset i = 0; i < block.size(); ++i) {
         const Event &e = block.events[i];
         const std::uint64_t index = block.first + i;
-
-        auto check_state_change = [&](Addr base, std::uint16_t size) {
-            keysOf(base, size, keys);
-            for (Addr k : keys) {
-                if (wing_genkill.contains(k) || wing_access.contains(k)) {
-                    local_errors.push_back(ErrorRecord{
-                        t, index, base, ErrorKind::NonIsolatedOp, size});
-                    ++isolation;
-                    return;
-                }
-            }
-        };
-        auto check_access = [&](Addr base, std::uint16_t size) {
-            keysOf(base, size, keys);
-            for (Addr k : keys) {
-                if (wing_genkill.contains(k)) {
-                    local_errors.push_back(ErrorRecord{
-                        t, index, base, ErrorKind::NonIsolatedOp, size});
-                    ++isolation;
-                    return;
-                }
-            }
-        };
-
         switch (e.kind) {
           case EventKind::Alloc:
           case EventKind::Free:
-            check_state_change(e.addr, e.size);
+            if (check_changes)
+                check(index, e.addr, e.size, true);
             break;
           case EventKind::Read:
           case EventKind::Write:
           case EventKind::Use:
-            check_access(e.addr, e.size);
+            if (check_accesses)
+                check(index, e.addr, e.size, false);
             break;
-          case EventKind::Assign: {
-            check_access(e.addr, e.size);
-            const Addr srcs[2] = {e.src0, e.src1};
-            for (unsigned n = 0; n < e.nsrc; ++n)
-                check_access(srcs[n], e.size);
+          case EventKind::Assign:
+            if (check_accesses) {
+                check(index, e.addr, e.size, false);
+                const Addr srcs[2] = {e.src0, e.src1};
+                for (unsigned n = 0; n < e.nsrc; ++n)
+                    check(index, srcs[n], e.size, false);
+            }
             break;
-          }
           default:
             break;
         }
     }
 
-    commitBlock(l, t, local_errors, 0, isolation);
+    commitBlock(l, t, local_errors, 0, isolation, false);
 }
 
 void

@@ -111,7 +111,9 @@ class ButterflyAddrCheck : public AnalysisDriver
     std::uint64_t errorsInBlock(EpochId l, ThreadId t) const;
 
     /** |GEN| + |KILL| + |ACCESS| of block (l, t)'s pass-1 summary —
-     *  the work the meet step performs per wing block. */
+     *  the meet cost the performance model (harness/perf_model) charges
+     *  per wing block. pass2 itself builds no union: it probes the wing
+     *  sets in place, so its cost is not this number. */
     std::uint64_t summarySize(EpochId l, ThreadId t) const;
 
     /** |GEN_l| + |KILL_l|: elements folded into the SOS for epoch l. */
@@ -134,7 +136,7 @@ class ButterflyAddrCheck : public AnalysisDriver
     static std::uint64_t
     blockKey(EpochId l, ThreadId t)
     {
-        return (l << 8) | t;
+        return (l << 32) | t; // ThreadId is 32-bit: no (l, t) collides
     }
 
     BlockSummary &slot(EpochId l, ThreadId t);
@@ -147,10 +149,12 @@ class ButterflyAddrCheck : public AnalysisDriver
     void keysOf(Addr base, std::uint16_t size,
                 std::vector<Addr> &out) const;
 
-    /** Commit a block's locally-collected reports under the mutex. */
+    /** Commit a block's locally-collected reports under the mutex;
+     *  @p pass2_skipped marks a pass-2 block that could flag nothing. */
     void commitBlock(EpochId l, ThreadId t,
                      const std::vector<ErrorRecord> &local_errors,
-                     std::uint64_t checks, std::uint64_t isolation);
+                     std::uint64_t checks, std::uint64_t isolation,
+                     bool pass2_skipped);
 
     /** Record the finished pass-1 summary's size and commit errors —
      *  the shared tail of the scalar and batched kernels. */

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "butterfly/window.hpp"
 #include "lifeguards/addrcheck.hpp"
 #include "lifeguards/addrcheck_oracle.hpp"
@@ -455,6 +458,147 @@ TEST(AddrCheck, LargerEpochsNeverReduceToZeroWhatSmallFlags)
     const auto fp_small = fp_at(64);
     const auto fp_large = fp_at(2048);
     EXPECT_LE(fp_small, fp_large);
+}
+
+// --------------------------------------------------------------------
+// Pass 2 probes the wing summaries in place and skips blocks that can
+// flag nothing; these pin the exact NonIsolatedOp records it emits.
+// --------------------------------------------------------------------
+
+using RecordTuple =
+    std::tuple<ThreadId, std::uint64_t, Addr, std::uint16_t>;
+
+/** The NonIsolatedOp records, as (tid, index, addr, size), sorted. */
+std::vector<RecordTuple>
+nonIsolated(const ButterflyAddrCheck &check)
+{
+    std::vector<RecordTuple> out;
+    for (const ErrorRecord &r : check.errors().records())
+        if (r.kind == ErrorKind::NonIsolatedOp)
+            out.emplace_back(r.tid, r.index, r.addr, r.size);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(AddrCheckPass2, AccessMeetsWingFreeOnlyInNextEpoch)
+{
+    // t0 reads 0x100 in epoch 1; t1 frees it in epoch 2 and touches
+    // nothing else. The free exists only in the read's epoch-l+1 wing,
+    // and the free's own wing (epoch 1) holds the read.
+    auto run = runAddrCheck(test::traceOf({
+        {Event::alloc(0x100, 8), Event::heartbeat(), Event::read(0x100, 8),
+         Event::heartbeat(), Event::nop()},
+        {Event::nop(), Event::heartbeat(), Event::nop(), Event::heartbeat(),
+         Event::freeOf(0x100, 8)},
+    }),
+    wideConfig());
+    const std::vector<RecordTuple> want = {{0, 1, 0x100, 8},
+                                           {1, 2, 0x100, 8}};
+    EXPECT_EQ(nonIsolated(*run.check), want);
+    EXPECT_EQ(run.check->errors().size(), 2u); // pass 1 is clean
+    EXPECT_EQ(run.check->isolationViolations(), 2u);
+}
+
+TEST(AddrCheckPass2, AllocMeetsWingThatOnlyAccessesTheKey)
+{
+    // The alloc's key is in no wing alloc/free set, only in t1's ACCESS
+    // set. t1's read is unallocated in its own LSOS, so pass 1 reports
+    // it first and the log keeps that record for the event.
+    auto run = runAddrCheck(test::traceOf({
+        {Event::nop(), Event::heartbeat(), Event::alloc(0x200, 8)},
+        {Event::nop(), Event::heartbeat(), Event::read(0x200, 8)},
+    }),
+    wideConfig());
+    const std::vector<RecordTuple> want = {{0, 1, 0x200, 8}};
+    EXPECT_EQ(nonIsolated(*run.check), want);
+    ASSERT_EQ(run.check->errors().size(), 2u);
+    EXPECT_TRUE(run.check->errors().flagged(1, 1));
+    EXPECT_EQ(run.check->isolationViolations(), 2u);
+}
+
+TEST(AddrCheckPass2, MultiKeyAccessFlaggedByItsLastKeyOnly)
+{
+    // t0's 24-byte read in epoch 2 spans keys 0x60..0x62, allocated in
+    // epoch 0 (in the SOS by then, so pass 1 is clean). Of its wings
+    // (epochs 1..3 of t1), only t1's epoch-1 alloc of 0x310 holds any
+    // of them: the last key, 0x62.
+    auto run = runAddrCheck(test::traceOf({
+        {Event::alloc(0x300, 24), Event::heartbeat(), Event::nop(),
+         Event::heartbeat(), Event::read(0x300, 24)},
+        {Event::nop(), Event::heartbeat(), Event::alloc(0x310, 8),
+         Event::heartbeat(), Event::nop()},
+    }),
+    wideConfig());
+    // t0's epoch-0 alloc and t1's alloc also meet each other across
+    // adjacent epochs.
+    const std::vector<RecordTuple> want = {
+        {0, 0, 0x300, 24}, {0, 2, 0x300, 24}, {1, 1, 0x310, 8}};
+    EXPECT_EQ(nonIsolated(*run.check), want);
+    EXPECT_EQ(run.check->errors().size(), 3u); // pass 1 is clean
+    EXPECT_EQ(run.check->isolationViolations(), 3u);
+}
+
+TEST(AddrCheckPass2, OwnAllocAndFreeInAdjacentEpochsNeverFlag)
+{
+    // t0 allocates in epoch 0, accesses in epoch 1 and frees in epoch 2:
+    // its own summaries in epochs l-1 and l+1 are never in its wings.
+    // t1 allocates and frees an unrelated key in the same epochs, so
+    // the wings hold alloc/free sets; none of them meets t0's key.
+    auto run = runAddrCheck(test::traceOf({
+        {Event::alloc(0x400, 8), Event::heartbeat(), Event::write(0x400, 8),
+         Event::heartbeat(), Event::freeOf(0x400, 8)},
+        {Event::alloc(0x800, 8), Event::heartbeat(), Event::read(0x800, 8),
+         Event::heartbeat(), Event::freeOf(0x800, 8)},
+    }),
+    wideConfig());
+    EXPECT_TRUE(run.check->errors().empty());
+    EXPECT_EQ(run.check->isolationViolations(), 0u);
+}
+
+TEST(AddrCheckPass2, WindowWithoutAllocOrFreeFlagsNothing)
+{
+    // After epoch 0's allocation settles, epochs 2..4 hold only
+    // accesses, and every thread reads and writes every key: no block
+    // whose window lacks an alloc/free can flag anything.
+    std::vector<std::vector<Event>> programs(3);
+    programs[0] = {Event::alloc(0x500, 32)};
+    for (auto &p : programs) {
+        if (p.empty())
+            p.push_back(Event::nop());
+        p.push_back(Event::heartbeat());
+        p.push_back(Event::nop());
+        for (int epoch = 2; epoch <= 4; ++epoch) {
+            p.push_back(Event::heartbeat());
+            p.push_back(Event::read(0x500, 32));
+            p.push_back(Event::write(0x510, 8));
+        }
+    }
+    auto run = runAddrCheck(test::traceOf(std::move(programs)),
+                            wideConfig());
+    EXPECT_TRUE(run.check->errors().empty());
+    EXPECT_EQ(run.check->isolationViolations(), 0u);
+    EXPECT_GT(run.check->eventsChecked(), 0u);
+}
+
+TEST(AddrCheck, ErrorsPerBlockDistinctBeyond256Threads)
+{
+    // Block (0, 256) and block (1, 0) must not share a counter: thread
+    // 256 makes one unallocated access in epoch 0, thread 0 makes two in
+    // epoch 1.
+    constexpr ThreadId kThreads = 257;
+    std::vector<std::vector<Event>> programs(kThreads);
+    for (auto &p : programs)
+        p = {Event::nop(), Event::heartbeat(), Event::nop()};
+    programs[256][0] = Event::read(0x100, 8);
+    programs[0] = {Event::nop(), Event::heartbeat(), Event::read(0x200, 8),
+                   Event::read(0x300, 8)};
+    auto run = runAddrCheck(test::traceOf(std::move(programs)),
+                            wideConfig());
+    ASSERT_EQ(run.check->errors().size(), 3u);
+    EXPECT_EQ(run.check->errorsInBlock(0, 256), 1u);
+    EXPECT_EQ(run.check->errorsInBlock(1, 0), 2u);
+    EXPECT_EQ(run.check->summarySize(0, 256), 1u);
+    EXPECT_EQ(run.check->summarySize(1, 0), 2u);
 }
 
 } // namespace

@@ -20,9 +20,13 @@
 #include <thread>
 #include <vector>
 
+#include "butterfly/window.hpp"
 #include "harness/session.hpp"
+#include "lifeguards/addrcheck.hpp"
+#include "memmodel/interleaver.hpp"
 #include "telemetry/exporter.hpp"
 #include "trace/log_buffer.hpp"
+#include "workloads/workload.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_span.hpp"
 
@@ -606,6 +610,39 @@ TEST_F(TelemetryTest, LogBufferPublishesStallsAndHeartbeats)
     }
     EXPECT_EQ(stalls, 1u);
     EXPECT_EQ(beats, 1u);
+}
+
+TEST_F(TelemetryTest, AddrCheckPass2SkipsBlocksThatCannotFlag)
+{
+    // On a clean paper kernel most pass-2 blocks hold no alloc/free and
+    // meet no concurrent one, so pass 2 skips them without a walk. The
+    // skip count is flushed once per pass-2 block, next to
+    // blocks_committed (which also counts every pass-1 block).
+    WorkloadConfig wcfg;
+    wcfg.numThreads = 4;
+    wcfg.instrPerThread = 4000;
+    wcfg.seed = 1;
+    Workload w = makeOcean(wcfg);
+    Rng rng(7);
+    Trace trace = interleave(w.programs, InterleaveConfig{}, rng);
+    EpochLayout layout = EpochLayout::byGlobalSeq(trace, 256 * 4);
+
+    AddrCheckConfig cfg;
+    cfg.heapBase = w.heapBase;
+    cfg.heapLimit = w.heapLimit;
+    ButterflyAddrCheck check(layout, cfg);
+    WindowSchedule().run(layout, check);
+
+    const RegistrySnapshot snap = telemetry::registry().snapshot();
+    const std::uint64_t blocks = layout.numEpochs() * layout.numThreads();
+    const std::uint64_t skipped =
+        snap.value("bfly.addrcheck.pass2_blocks_skipped");
+    const std::uint64_t committed =
+        snap.value("bfly.addrcheck.blocks_committed");
+    EXPECT_EQ(committed, 2 * blocks);
+    EXPECT_GT(skipped, 0u);
+    EXPECT_LE(skipped, committed);
+    EXPECT_LT(skipped, blocks); // ocean's allocation churn is not skipped
 }
 
 // ---------------------------------------------------------------------
