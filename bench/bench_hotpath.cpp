@@ -19,7 +19,12 @@
  *                batched columnar kernels (sort-by-key runs + bulk set
  *                inserts) over one synthetic block — same driver, same
  *                block, only setBatchMode differs, and the reports are
- *                bit-identical by contract.
+ *                bit-identical by contract;
+ *   addrcheck_ranges
+ *                pass 1 + pass 2 + finalize of one ADDRCHECK epoch whose
+ *                blocks allocate, sweep and free a 60 KiB range, scalar
+ *                (seed column) vs batched (new column) pass 1. A trend
+ *                record of the range-heavy blocks, not gated.
  *
  * Writes BENCH_bench_hotpath.json (see bench_common.hpp; directory
  * overridable with BFLY_BENCH_JSON_DIR). `--quick` shrinks every group
@@ -473,6 +478,63 @@ benchTaintCheckPass1(bool quick)
     return g;
 }
 
+// ---------------------------------------------------------------------
+// Group 6: a range-heavy ADDRCHECK epoch through every hook.
+// ---------------------------------------------------------------------
+
+/**
+ * One epoch, two threads, shaped like the paper kernels' large-array
+ * blocks: thread 0 allocates a 60 KiB range, sweeps it and frees it;
+ * thread 1 reads inside it at random, racing with both, so pass 2
+ * checks every event of both blocks against the other's sets. Ops are
+ * events through pass 1, pass 2 and finalize.
+ */
+GroupResult
+benchAddrCheckRanges(bool quick)
+{
+    const Addr heap = 0x100000;
+    const std::uint16_t bytes = 61440; // 7,680 keys
+    Rng rng(5678);
+    std::vector<Event> owner{Event::alloc(heap, bytes)};
+    for (std::size_t i = 0; i < 2048; ++i) {
+        const Addr a = heap + (i * 8) % bytes;
+        owner.push_back(i % 4 == 3 ? Event::write(a, 8)
+                                   : Event::read(a, 8));
+    }
+    owner.push_back(Event::freeOf(heap, bytes));
+    std::vector<Event> reader;
+    for (std::size_t i = 0; i < 2048; ++i)
+        reader.push_back(Event::read(heap + 8 * rng.below(bytes / 8), 8));
+    const BlockView blocks[] = {
+        {0, 0, {owner.data(), owner.size()}, 0},
+        {0, 1, {reader.data(), reader.size()}, 0}};
+    const std::size_t events = owner.size() + reader.size();
+
+    AddrCheckConfig cfg;
+    cfg.granularity = 8;
+    ButterflyAddrCheck driver(std::size_t{2}, cfg);
+    auto epoch = [&] {
+        for (const BlockView &b : blocks)
+            driver.pass1(b);
+        for (const BlockView &b : blocks)
+            driver.pass2(b);
+        driver.finalizeEpoch(0);
+    };
+    const std::size_t reps = quick ? 40 : 400;
+    auto events_per_sec = [&](bool batched) {
+        driver.setBatchMode(batched);
+        epoch(); // warm: page-in, scratch growth, first error reports
+        const double t0 = now();
+        for (std::size_t r = 0; r < reps; ++r)
+            epoch();
+        return static_cast<double>(reps * events) / (now() - t0);
+    };
+    GroupResult g{"addrcheck_ranges"};
+    g.seedOpsPerSec = events_per_sec(false);
+    g.newOpsPerSec = events_per_sec(true);
+    return g;
+}
+
 } // namespace
 } // namespace bfly
 
@@ -492,12 +554,13 @@ main(int argc, char **argv)
         bfly::benchShadowRange(quick),
         bfly::benchAddrCheckPass1(quick),
         bfly::benchTaintCheckPass1(quick),
+        bfly::benchAddrCheckRanges(quick),
     };
 
-    std::printf("%-14s %16s %16s %9s\n", "group", "seed ops/s",
+    std::printf("%-16s %16s %16s %9s\n", "group", "seed ops/s",
                 "new ops/s", "speedup");
     for (const GroupResult &g : groups) {
-        std::printf("%-14s %16.0f %16.0f %8.2fx\n", g.name,
+        std::printf("%-16s %16.0f %16.0f %8.2fx\n", g.name,
                     g.seedOpsPerSec, g.newOpsPerSec, g.speedup());
     }
 

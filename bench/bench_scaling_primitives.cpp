@@ -11,6 +11,7 @@
 
 #include "bench/bench_common.hpp"
 #include "butterfly/window.hpp"
+#include "common/addr_set.hpp"
 #include "common/shadow_memory.hpp"
 #include "memmodel/interleaver.hpp"
 

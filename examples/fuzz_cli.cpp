@@ -27,6 +27,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <string>
 
 #include "fuzz/corpus.hpp"
@@ -177,6 +178,22 @@ struct Summary
     double elapsedSec = 0;
     std::string failingRepro; ///< path of the minimized repro, if any
     std::string firstViolation;
+    /** Cases per generating scenario; a mutated case ("x+mut") counts
+     *  under the scenario it was mutated from. */
+    std::map<std::string, std::size_t> scenarioCases;
+
+    Summary()
+    {
+        for (const std::string &name : scenarioNames())
+            scenarioCases[name] = 0;
+    }
+
+    void
+    count(const FuzzCase &c)
+    {
+        ++cases;
+        ++scenarioCases[c.scenario.substr(0, c.scenario.find('+'))];
+    }
 
     void
     writeJson(std::ostream &os) const
@@ -184,6 +201,13 @@ struct Summary
         os << "{\n"
            << "  \"seed\": " << seed << ",\n"
            << "  \"cases\": " << cases << ",\n"
+           << "  \"scenarios\": {";
+        const char *sep = "";
+        for (const auto &[name, n] : scenarioCases) {
+            os << sep << "\"" << name << "\": " << n;
+            sep = ", ";
+        }
+        os << "},\n"
            << "  \"events\": " << events << ",\n"
            << "  \"oracle_errors\": " << oracleErrors << ",\n"
            << "  \"false_positives\": " << falsePositives << ",\n"
@@ -265,7 +289,7 @@ replayCorpus(const Options &opt)
             continue;
         }
         const CaseOutcome outcome = runner.run(c);
-        ++summary.cases;
+        summary.count(c);
         summary.events += outcome.events;
         summary.oracleErrors += outcome.oracleErrors;
         summary.falsePositives += outcome.falsePositives;
@@ -376,7 +400,7 @@ main(int argc, char **argv)
            (opt.budgetSec <= 0 || elapsed() < opt.budgetSec)) {
         const FuzzCase c = fuzzer.next();
         const CaseOutcome outcome = runner.run(c);
-        ++summary.cases;
+        summary.count(c);
         summary.events += outcome.events;
         summary.oracleErrors += outcome.oracleErrors;
         summary.falsePositives += outcome.falsePositives;

@@ -491,8 +491,11 @@ DifferentialRunner::run(const FuzzCase &c) const
             telemetry::TraceSpan es("fuzz.elision");
             Trace stamped = trace;
             staticpass::SiteTable sites;
+            staticpass::ClassifyOptions copt;
+            copt.heapBase = c.heapBase;
+            copt.heapLimit = c.heapLimit;
             const staticpass::ElisionPlan plan =
-                staticpass::buildElisionPlan(stamped, sites);
+                staticpass::buildElisionPlan(stamped, sites, copt);
             staticpass::ElisionStats estats;
             const Trace elided =
                 staticpass::applyElisionPlan(stamped, plan, &estats);

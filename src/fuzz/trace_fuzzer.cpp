@@ -373,6 +373,101 @@ randomSoup(FuzzCase &c, Rng &rng, unsigned threads, std::size_t per)
     }
 }
 
+/**
+ * Range churn: allocations and frees of up to several KiB at unaligned
+ * bases, ranges allocated right against a recent one (so their keys
+ * merge into one run), frees of sub-ranges (so runs split), and
+ * accesses that straddle range ends or span many keys. The slot-based
+ * scenarios only draw 4-32-byte ranges on 64-byte slots; this one makes
+ * range splitting and merging meet the oracle, sometimes across
+ * heapLimit.
+ */
+void
+rangeChurn(FuzzCase &c, Rng &rng, unsigned threads, std::size_t per)
+{
+    // Each thread mostly works in its own slice of the window, so pass 2
+    // stays quiet there and a wrong pass-1 or finalize answer surfaces
+    // as a false negative; some bases are drawn anywhere, racing.
+    const Addr slice = (kHeapLimit - kHeapBase) / threads;
+    const double shared = 0.1 * static_cast<double>(rng.below(4));
+    auto range_bytes = [&]() -> std::uint16_t {
+        return static_cast<std::uint16_t>(
+            rng.chance(0.5) ? 8 + rng.below(120) : 64 + rng.below(4096));
+    };
+    struct Range
+    {
+        Addr base;
+        std::uint16_t bytes;
+    };
+    c.programs.assign(threads, {});
+    for (unsigned t = 0; t < threads; ++t) {
+        auto &p = c.programs[t];
+        auto draw_base = [&] {
+            return rng.chance(shared)
+                       ? kHeapBase + rng.below(kHeapLimit - kHeapBase)
+                       : kHeapBase + t * slice + rng.below(slice / 2);
+        };
+        std::vector<Range> recent; // this thread's allocations
+        auto pick = [&]() -> Range {
+            if (recent.empty() || rng.chance(0.2))
+                return Range{draw_base(), range_bytes()};
+            return recent[rng.below(recent.size())];
+        };
+        while (p.size() < per) {
+            switch (rng.below(9)) {
+              case 0: { // unaligned multi-key alloc
+                const Range r{draw_base(), range_bytes()};
+                p.push_back(Event::alloc(r.base, r.bytes));
+                recent.push_back(r);
+                break;
+              }
+              case 1: { // alloc adjacent to a recent range, either side
+                const Range r = pick();
+                const std::uint16_t n = range_bytes();
+                const Addr at = rng.chance(0.5) ? r.base + r.bytes
+                                                : r.base - n;
+                p.push_back(Event::alloc(at, n));
+                recent.push_back(Range{at, n});
+                break;
+              }
+              case 2: { // free a whole range
+                const Range r = pick();
+                p.push_back(Event::freeOf(r.base, r.bytes));
+                break;
+              }
+              case 3: { // free a sub-range
+                const Range r = pick();
+                const Addr off = rng.below(r.bytes);
+                const auto len = static_cast<std::uint16_t>(
+                    1 + rng.below(r.bytes - off));
+                p.push_back(Event::freeOf(r.base + off, len));
+                break;
+              }
+              case 4: { // range across heapLimit
+                const Addr at = kHeapLimit - 1 - rng.below(256);
+                p.push_back(rng.chance(0.5)
+                                ? Event::alloc(at, range_bytes())
+                                : Event::read(at, 16));
+                break;
+              }
+              case 5: { // access spanning many keys
+                const Range r = pick();
+                p.push_back(Event::read(
+                    r.base + rng.below(r.bytes),
+                    static_cast<std::uint16_t>(8 + rng.below(256))));
+                break;
+              }
+              default: { // access straddling (or just inside) a range end
+                const Range r = pick();
+                const Addr edge =
+                    rng.chance(0.5) ? r.base : r.base + r.bytes;
+                p.push_back(drawAccess(rng, edge - rng.below(16)));
+              }
+            }
+        }
+    }
+}
+
 using Generator = void (*)(FuzzCase &, Rng &, unsigned, std::size_t);
 
 struct Scenario
@@ -391,6 +486,11 @@ constexpr Scenario kScenarios[] = {
     {"lock-churn", lockChurn},
     {"leak-launder", leakLaunder},
 };
+
+/** Picked by a draw of its own in generate(), not from kScenarios. */
+constexpr Scenario kRangeChurn{"range-churn", rangeChurn};
+/** Salt of that draw; one seed in std::size(kScenarios) + 1 picks it. */
+constexpr std::uint64_t kRangeChurnSalt = 0x72616e67652d6368ull;
 
 /** True if swapping adjacent events preserves the thread's semantics:
  *  their address footprints must not overlap. */
@@ -452,6 +552,7 @@ scenarioNames()
         std::vector<std::string> out;
         for (const Scenario &s : kScenarios)
             out.emplace_back(s.name);
+        out.emplace_back(kRangeChurn.name);
         return out;
     }();
     return names;
@@ -464,8 +565,14 @@ TraceFuzzer::TraceFuzzer(const FuzzerConfig &config)
 FuzzCase
 TraceFuzzer::generate(std::uint64_t case_seed) const
 {
+    // Range churn is drawn from a separately salted stream, so every
+    // seed that does not pick it names the same case as it would
+    // without it: seeds printed by earlier runs stay replayable.
+    const bool churn = Rng(case_seed ^ kRangeChurnSalt)
+                           .below(std::size(kScenarios) + 1) == 0;
     Rng rng(case_seed);
-    const Scenario &scenario = kScenarios[rng.below(std::size(kScenarios))];
+    const Scenario &scenario =
+        churn ? kRangeChurn : kScenarios[rng.below(std::size(kScenarios))];
 
     FuzzCase c;
     c.scenario = scenario.name;

@@ -72,6 +72,8 @@ runSession(const SessionConfig &config)
         staticpass::assignPseudoSites(workload.programs, workload.sites);
         staticpass::ClassifyOptions copt;
         copt.granularity = config.granularity;
+        copt.heapBase = workload.heapBase;
+        copt.heapLimit = workload.heapLimit;
         plan = staticpass::classifySites(workload.programs, workload.sites,
                                          copt, &result.siteClasses);
         result.planFingerprint = plan.fingerprint();

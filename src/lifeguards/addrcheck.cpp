@@ -4,7 +4,6 @@
 
 #include "common/logging.hpp"
 #include "telemetry/metrics.hpp"
-#include "trace/block_batch.hpp"
 
 namespace bfly {
 
@@ -44,41 +43,153 @@ struct AddrCheckTelemetry
     }
 };
 
-/** One (event, metadata-key) expansion in the batched pass-1 kernel.
- *  Ops live in a flat vector in scalar expansion order, so an op's
- *  vector index doubles as its emission ordinal. */
-struct KeyOp
+/** Reusable per-worker buffers for the pass-1 kernels. */
+struct Pass1Scratch
 {
-    Addr key;           ///< metadata key this op touches
-    Addr base;          ///< address reported if the op is flagged
-    std::uint32_t evt;  ///< event offset within the block
-    std::uint16_t size; ///< bytes reported if flagged
-    std::uint8_t op;    ///< 0 access, 1 alloc, 2 free
+    std::vector<KeyRun> keys;   ///< batched: a segment's key ranges
+    IntervalSet touched;        ///< batched: their union
+    std::vector<KeyRun> access; ///< the block's access ranges
 };
 
-/** Reusable per-worker buffers for the batched kernel. */
-struct AddrBatchScratch
+Pass1Scratch &
+pass1Scratch()
 {
-    BlockBatch batch;
-    std::vector<KeyOp> ops;            ///< expansion (= emission) order
-    std::vector<std::uint32_t> counts; ///< groupByKey bucket scratch
-    std::vector<std::uint32_t> order;  ///< op indices grouped by key
-    std::vector<Addr> accessKeys;
-    std::vector<Addr> allocKeys;
-    std::vector<Addr> freeKeys;
-    std::vector<Addr> genKeys;
-    std::vector<Addr> killKeys;
-    std::vector<std::pair<std::uint32_t, ErrorRecord>> flagged;
-};
-
-AddrBatchScratch &
-addrBatchScratch()
-{
-    thread_local AddrBatchScratch s;
+    thread_local Pass1Scratch s;
     return s;
 }
 
+/** Call @p fn(base) for each address access event @p e reads or writes
+ *  (none for other kinds). */
+template <typename Fn>
+void
+forEachAccess(const Event &e, Fn &&fn)
+{
+    switch (e.kind) {
+      case EventKind::Read:
+      case EventKind::Write:
+      case EventKind::Use:
+        fn(e.addr);
+        break;
+      case EventKind::Assign:
+        fn(e.addr);
+        if (e.nsrc >= 1)
+            fn(e.src0);
+        if (e.nsrc >= 2)
+            fn(e.src1);
+        break;
+      default:
+        break;
+    }
+}
+
 } // namespace
+
+/**
+ * Allocation state of block (l, t) during its pass 1: the block's own
+ * net changes so far (genEnd allocated, killEnd freed) over
+ *
+ *   LSOS_{l,t} = (GEN_{l-1,t} - U_{u!=t} KILL_{l-2,u})
+ *                U (SOS_l - KILL_{l-1,t})           [Section 5.2 / 6.1]
+ *
+ * queried by key range. The state is constant between the run
+ * boundaries of its input sets; the run around the last key looked up
+ * is remembered, so further queries inside it cost a compare. The LSOS
+ * inputs (older summaries and the SOS) are frozen while pass 1 of epoch
+ * l runs; only this block's own sets change, and each change forgets
+ * the remembered run.
+ */
+class ButterflyAddrCheck::LocalState
+{
+  public:
+    LocalState(const ButterflyAddrCheck &check, EpochId l, ThreadId t,
+               BlockSummary &own)
+        : own_(own), sos_(check.sos_),
+          head_(l >= 1 ? check.slotIfValid(l - 1, t) : nullptr)
+    {
+        if (l < 2)
+            return;
+        for (ThreadId u = 0; u < check.summaries_.size(); ++u) {
+            if (u == t)
+                continue;
+            const BlockSummary *w = check.slotIfValid(l - 2, u);
+            if (w && !w->killEnd.empty())
+                kill2_.push_back(&w->killEnd);
+        }
+    }
+
+    /** True if some key of @p r is unallocated. */
+    bool unallocated(const KeyRun &r) { return any(r, false); }
+
+    /**
+     * Apply an Alloc or Free (@p kind) of @p r. Returns the error it
+     * raises, if any: an Alloc of a key already allocated, or a Free of
+     * one that is not.
+     */
+    std::optional<ErrorKind>
+    change(EventKind kind, const KeyRun &r)
+    {
+        const bool alloc = kind == EventKind::Alloc;
+        const bool bad = any(r, alloc);
+        (alloc ? own_.allocAny : own_.freeAny).insert(r.lo, r.hi);
+        (alloc ? own_.genEnd : own_.killEnd).insert(r.lo, r.hi);
+        (alloc ? own_.killEnd : own_.genEnd).erase(r.lo, r.hi);
+        cached_ = false;
+        if (!bad)
+            return std::nullopt;
+        return alloc ? ErrorKind::DoubleAlloc : ErrorKind::UnallocatedFree;
+    }
+
+  private:
+    /** True if some key of @p r is allocated (@p allocated) or not. */
+    bool
+    any(const KeyRun &r, bool allocated)
+    {
+        for (Addr p = r.lo;;) {
+            if (!cached_ || p < runLo_ || p > runHi_)
+                locate(p);
+            if (runState_ == allocated)
+                return true;
+            if (runHi_ >= r.hi)
+                return false;
+            p = runHi_ + 1;
+        }
+    }
+
+    /** Compute the state at @p p and the run of keys around it that
+     *  shares it. Every set is consulted: each bounds the run. */
+    void
+    locate(Addr p)
+    {
+        Addr lo = 0;
+        Addr hi = ~Addr{0};
+        const bool gen = own_.genEnd.runAt(p, lo, hi);
+        const bool kill = own_.killEnd.runAt(p, lo, hi);
+        bool head_gen = false;
+        bool head_kill = false;
+        if (head_) {
+            head_gen = head_->genEnd.runAt(p, lo, hi);
+            head_kill = head_->killEnd.runAt(p, lo, hi);
+        }
+        bool killed_l2 = false;
+        for (const IntervalSet *k : kill2_)
+            killed_l2 = k->runAt(p, lo, hi) || killed_l2;
+        const bool in_sos = sos_.runAt(p, lo, hi);
+        runState_ = gen || (!kill && ((head_gen && !killed_l2) ||
+                                      (in_sos && !head_kill)));
+        runLo_ = lo;
+        runHi_ = hi;
+        cached_ = true;
+    }
+
+    BlockSummary &own_;
+    const IntervalSet &sos_;
+    const BlockSummary *head_;               ///< s_{l-1,t}, if valid
+    std::vector<const IntervalSet *> kill2_; ///< KILL_{l-2,u}, u != t
+    bool cached_ = false;
+    bool runState_ = false;
+    Addr runLo_ = 0;
+    Addr runHi_ = 0;
+};
 
 ButterflyAddrCheck::ButterflyAddrCheck(std::size_t num_threads,
                                        const AddrCheckConfig &config)
@@ -88,9 +199,17 @@ ButterflyAddrCheck::ButterflyAddrCheck(std::size_t num_threads,
 }
 
 ButterflyAddrCheck::BlockSummary &
-ButterflyAddrCheck::slot(EpochId l, ThreadId t)
+ButterflyAddrCheck::resetSlot(EpochId l, ThreadId t)
 {
-    return summaries_[t][l % kWindow];
+    // Clear rather than replace: the run vectors keep their capacity.
+    BlockSummary &s = summaries_[t][l % kWindow];
+    s.genEnd.clear();
+    s.killEnd.clear();
+    s.allocAny.clear();
+    s.freeAny.clear();
+    s.access.clear();
+    s.epoch = l;
+    return s;
 }
 
 const ButterflyAddrCheck::BlockSummary *
@@ -98,49 +217,6 @@ ButterflyAddrCheck::slotIfValid(EpochId l, ThreadId t) const
 {
     const BlockSummary &s = summaries_[t][l % kWindow];
     return s.epoch == l ? &s : nullptr;
-}
-
-void
-ButterflyAddrCheck::keysOf(Addr base, std::uint16_t size,
-                           std::vector<Addr> &out) const
-{
-    out.clear();
-    if (base == kNoAddr || !config_.monitored(base))
-        return;
-    const Addr first = config_.keyOf(base);
-    const Addr last = config_.keyOf(base + (size > 0 ? size - 1 : 0));
-    for (Addr k = first; k <= last; ++k)
-        out.push_back(k);
-}
-
-bool
-ButterflyAddrCheck::lsosBaseContains(Addr key, EpochId l, ThreadId t) const
-{
-    // LSOS_{l,t} = (GEN_{l-1,t} - U_{t'!=t} KILL_{l-2,t'})
-    //              U (SOS_l - KILL_{l-1,t})         [Section 5.2 / 6.1]
-    const BlockSummary *head =
-        l >= 1 ? slotIfValid(l - 1, t) : nullptr;
-
-    if (head && head->genEnd.contains(key)) {
-        bool killed_by_l2 = false;
-        if (l >= 2) {
-            for (ThreadId u = 0; u < summaries_.size() && !killed_by_l2;
-                 ++u) {
-                if (u == t)
-                    continue;
-                const BlockSummary *w = slotIfValid(l - 2, u);
-                if (w && w->killEnd.contains(key))
-                    killed_by_l2 = true;
-            }
-        }
-        if (!killed_by_l2)
-            return true;
-    }
-    if (sos_.contains(key)) {
-        if (!head || !head->killEnd.contains(key))
-            return true;
-    }
-    return false;
 }
 
 void
@@ -173,21 +249,22 @@ ButterflyAddrCheck::commitBlock(EpochId l, ThreadId t,
 }
 
 void
-ButterflyAddrCheck::finishPass1(EpochId l, ThreadId t,
-                                const BlockSummary &s,
+ButterflyAddrCheck::finishPass1(EpochId l, ThreadId t, BlockSummary &s,
+                                std::vector<KeyRun> &access_runs,
                                 const std::vector<ErrorRecord> &local_errors,
                                 std::uint64_t checks)
 {
+    s.access.assignUnion(access_runs);
+
+    const std::uint64_t size =
+        s.genEnd.size() + s.killEnd.size() + s.access.size();
     {
         std::lock_guard<std::mutex> guard(mutex_);
-        summarySizes_[blockKey(l, t)] =
-            s.genEnd.size() + s.killEnd.size() + s.access.size();
+        summarySizes_[blockKey(l, t)] = size;
     }
     if (telemetry::enabled()) {
-        const AddrCheckTelemetry &m = AddrCheckTelemetry::get();
-        telemetry::registry().observe(m.summarySize,
-                                      s.genEnd.size() + s.killEnd.size() +
-                                          s.access.size());
+        telemetry::registry().observe(AddrCheckTelemetry::get().summarySize,
+                                      size);
     }
     commitBlock(l, t, local_errors, checks, 0, false);
 }
@@ -197,148 +274,67 @@ ButterflyAddrCheck::pass1Batched(const BlockView &block)
 {
     const EpochId l = block.epoch;
     const ThreadId t = block.thread;
-    BlockSummary &s = slot(l, t);
-    s = BlockSummary{};
-    s.epoch = l;
+    BlockSummary &s = resetSlot(l, t);
+    LocalState state(*this, l, t, s);
 
-    AddrBatchScratch &scratch = addrBatchScratch();
-    BlockBatch &b = scratch.batch;
-    b.assign(block);
-
-    // Expand the columns into (key, op) pairs in exactly the scalar
-    // walk's expansion order; an op's index is its emission ordinal, so
-    // flagged records can be put back into scalar order before
-    // committing (ErrorLog keeps the *first* record per event, so
-    // order is observable).
-    std::vector<KeyOp> &ops = scratch.ops;
-    ops.clear();
-    auto expand = [&](std::size_t evt, Addr base, std::uint16_t size,
-                      std::uint8_t op) {
-        if (base == kNoAddr || !config_.monitored(base))
-            return;
-        const Addr first = config_.keyOf(base);
-        const Addr last = config_.keyOf(base + (size > 0 ? size - 1 : 0));
-        for (Addr k = first; k <= last; ++k)
-            ops.push_back(KeyOp{k, base, static_cast<std::uint32_t>(evt),
-                                size, op});
-    };
-    for (std::size_t i = 0; i < b.size(); ++i) {
-        switch (b.kinds[i]) {
-          case EventKind::Alloc:
-            expand(i, b.addrs[i], b.sizes[i], 1);
-            break;
-          case EventKind::Free:
-            expand(i, b.addrs[i], b.sizes[i], 2);
-            break;
-          case EventKind::Read:
-          case EventKind::Write:
-          case EventKind::Use:
-            expand(i, b.addrs[i], b.sizes[i], 0);
-            break;
-          case EventKind::Assign:
-            expand(i, b.addrs[i], b.sizes[i], 0);
-            if (b.nsrc[i] >= 1)
-                expand(i, b.src0[i], b.sizes[i], 0);
-            if (b.nsrc[i] >= 2)
-                expand(i, b.src1[i], b.sizes[i], 0);
-            break;
-          default:
-            break;
-        }
-    }
-
-    // Partition by key (stable: scalar order within a key), then
-    // resolve each key's ops as one run: a single LSOS probe seeds the
-    // allocation state, and the run replays the alloc/free transitions
-    // in program order. Valid because the LSOS inputs (older summaries
-    // + SOS) are frozen while pass 1 of this epoch runs, so probe order
-    // is free.
-    groupByKey(
-        ops.size(), [&](std::size_t i) { return ops[i].key; },
-        scratch.counts, scratch.order);
-
-    scratch.accessKeys.clear();
-    scratch.allocKeys.clear();
-    scratch.freeKeys.clear();
-    scratch.genKeys.clear();
-    scratch.killKeys.clear();
-    scratch.flagged.clear();
-
-    std::size_t i = 0;
-    const std::size_t m = ops.size();
-    while (i < m) {
-        const Addr key = ops[scratch.order[i]].key;
-        bool state = lsosBaseContains(key, l, t); // once per distinct key
-        bool saw_access = false;
-        bool saw_alloc = false;
-        bool saw_free = false;
-        std::uint8_t last_change = 0;
-        for (; i < m && ops[scratch.order[i]].key == key; ++i) {
-            const std::uint32_t emit = scratch.order[i];
-            const KeyOp &op = ops[emit];
-            const std::uint64_t index = block.first + op.evt;
-            switch (op.op) {
-              case 0: // access
-                saw_access = true;
-                if (!state)
-                    scratch.flagged.emplace_back(
-                        emit,
-                        ErrorRecord{t, index, op.base,
-                                    ErrorKind::UnallocatedAccess, op.size});
-                break;
-              case 1: // alloc
-                saw_alloc = true;
-                last_change = 1;
-                if (state)
-                    scratch.flagged.emplace_back(
-                        emit,
-                        ErrorRecord{t, index, op.base,
-                                    ErrorKind::DoubleAlloc, op.size});
-                state = true;
-                break;
-              default: // free
-                saw_free = true;
-                last_change = 2;
-                if (!state)
-                    scratch.flagged.emplace_back(
-                        emit,
-                        ErrorRecord{t, index, op.base,
-                                    ErrorKind::UnallocatedFree, op.size});
-                state = false;
-                break;
-            }
-        }
-        if (saw_access)
-            scratch.accessKeys.push_back(key);
-        if (saw_alloc)
-            scratch.allocKeys.push_back(key);
-        if (saw_free)
-            scratch.freeKeys.push_back(key);
-        if (last_change == 1)
-            scratch.genKeys.push_back(key); // net allocated at block end
-        else if (last_change == 2)
-            scratch.killKeys.push_back(key); // net freed at block end
-    }
-
-    // The per-run key lists are sorted and unique by construction:
-    // one bulk insert per summary set.
-    s.access.insertBulk(scratch.accessKeys);
-    s.allocAny.insertBulk(scratch.allocKeys);
-    s.freeAny.insertBulk(scratch.freeKeys);
-    s.genEnd.insertBulk(scratch.genKeys);
-    s.killEnd.insertBulk(scratch.killKeys);
-
-    // Restore scalar emission order (emit ordinals are unique).
-    std::sort(scratch.flagged.begin(), scratch.flagged.end(),
-              [](const auto &a, const auto &b2) {
-                  return a.first < b2.first;
-              });
+    Pass1Scratch &scratch = pass1Scratch();
+    scratch.keys.clear();
+    scratch.access.clear();
     std::vector<ErrorRecord> local_errors;
-    local_errors.reserve(scratch.flagged.size());
-    for (const auto &p : scratch.flagged)
-        local_errors.push_back(p.second);
+    std::uint64_t checks = 0;
 
-    finishPass1(l, t, s, local_errors, m);
+    // The accesses of a segment, the events between two alloc/free
+    // events, all see one allocation state. Their key ranges are
+    // collected, merged into runs, and one state query per run decides
+    // them all: when every touched key is allocated (the common case)
+    // none can flag. Otherwise the segment's events are walked again,
+    // op by op in program order, so records come out in scalar order
+    // (ErrorLog keeps the *first* record per event, so order is
+    // observable).
+    auto resolve = [&](std::size_t from, std::size_t to) {
+        scratch.touched.assignUnion(scratch.keys);
+        scratch.keys.clear();
+        bool clean = true;
+        for (const KeyRun &run : scratch.touched.runs()) {
+            scratch.access.push_back(run);
+            clean = clean && !state.unallocated(run);
+        }
+        for (std::size_t i = from; !clean && i < to; ++i) {
+            const Event &e = block.events[i];
+            forEachAccess(e, [&](Addr base) {
+                const auto keys = config_.keysOf(base, e.size);
+                if (keys && state.unallocated(*keys))
+                    local_errors.push_back(
+                        ErrorRecord{t, block.first + i, base,
+                                    ErrorKind::UnallocatedAccess, e.size});
+            });
+        }
+    };
+
+    std::size_t from = 0; // first event of the current segment
+    for (std::size_t i = 0; i < block.size(); ++i) {
+        const Event &e = block.events[i];
+        if (e.kind != EventKind::Alloc && e.kind != EventKind::Free) {
+            forEachAccess(e, [&](Addr base) {
+                if (const auto keys = config_.keysOf(base, e.size)) {
+                    checks += keys->keys();
+                    scratch.keys.push_back(*keys);
+                }
+            });
+            continue;
+        }
+        resolve(from, i);
+        from = i + 1;
+        if (const auto keys = config_.keysOf(e.addr, e.size)) {
+            checks += keys->keys();
+            if (const auto kind = state.change(e.kind, *keys))
+                local_errors.push_back(
+                    ErrorRecord{t, block.first + i, e.addr, *kind, e.size});
+        }
+    }
+    resolve(from, block.size());
+
+    finishPass1(l, t, s, scratch.access, local_errors, checks);
 }
 
 void
@@ -351,90 +347,42 @@ ButterflyAddrCheck::pass1(const BlockView &block)
 
     const EpochId l = block.epoch;
     const ThreadId t = block.thread;
-    BlockSummary &s = slot(l, t);
-    s = BlockSummary{};
-    s.epoch = l;
+    BlockSummary &s = resetSlot(l, t);
+    LocalState state(*this, l, t, s);
 
+    std::vector<KeyRun> &access = pass1Scratch().access;
+    access.clear();
     std::vector<ErrorRecord> local_errors;
     std::uint64_t checks = 0;
 
-    // Local allocation-state delta on top of the LSOS (key -> allocated?).
-    std::unordered_map<Addr, bool> delta;
-    auto contains = [&](Addr key) {
-        auto it = delta.find(key);
-        if (it != delta.end())
-            return it->second;
-        return lsosBaseContains(key, l, t);
-    };
-    auto flag = [&](std::uint64_t index, Addr addr, std::uint16_t size,
-                    ErrorKind kind) {
-        local_errors.push_back(ErrorRecord{t, index, addr, kind, size});
-    };
-
-    std::vector<Addr> keys;
+    // Every operation is one key range: a check counts each of its keys,
+    // and flags the event once if any key is in the wrong state (the
+    // record names the operation, not the key).
     for (InstrOffset i = 0; i < block.size(); ++i) {
         const Event &e = block.events[i];
         const std::uint64_t index = block.first + i;
-
-        auto check_access = [&](Addr base, std::uint16_t size) {
-            keysOf(base, size, keys);
-            for (Addr k : keys) {
-                ++checks;
-                if (!contains(k))
-                    flag(index, base, size,
-                         ErrorKind::UnallocatedAccess);
-                s.access.insert(k);
+        if (e.kind == EventKind::Alloc || e.kind == EventKind::Free) {
+            if (const auto keys = config_.keysOf(e.addr, e.size)) {
+                checks += keys->keys();
+                if (const auto kind = state.change(e.kind, *keys))
+                    local_errors.push_back(
+                        ErrorRecord{t, index, e.addr, *kind, e.size});
             }
-        };
-
-        switch (e.kind) {
-          case EventKind::Alloc:
-            keysOf(e.addr, e.size, keys);
-            for (Addr k : keys) {
-                ++checks;
-                if (contains(k))
-                    flag(index, e.addr, e.size, ErrorKind::DoubleAlloc);
-                delta[k] = true;
-                s.allocAny.insert(k);
-                s.genEnd.insert(k);
-                s.killEnd.erase(k);
-            }
-            break;
-
-          case EventKind::Free:
-            keysOf(e.addr, e.size, keys);
-            for (Addr k : keys) {
-                ++checks;
-                if (!contains(k))
-                    flag(index, e.addr, e.size,
-                         ErrorKind::UnallocatedFree);
-                delta[k] = false;
-                s.freeAny.insert(k);
-                s.killEnd.insert(k);
-                s.genEnd.erase(k);
-            }
-            break;
-
-          case EventKind::Read:
-          case EventKind::Write:
-          case EventKind::Use:
-            check_access(e.addr, e.size);
-            break;
-
-          case EventKind::Assign: {
-            check_access(e.addr, e.size);
-            const Addr srcs[2] = {e.src0, e.src1};
-            for (unsigned n = 0; n < e.nsrc; ++n)
-                check_access(srcs[n], e.size);
-            break;
-          }
-
-          default:
-            break;
+            continue;
         }
+        forEachAccess(e, [&](Addr base) {
+            const auto keys = config_.keysOf(base, e.size);
+            if (!keys)
+                return;
+            checks += keys->keys();
+            if (state.unallocated(*keys))
+                local_errors.push_back(ErrorRecord{
+                    t, index, base, ErrorKind::UnallocatedAccess, e.size});
+            access.push_back(*keys);
+        });
     }
 
-    finishPass1(l, t, s, local_errors, checks);
+    finishPass1(l, t, s, access, local_errors, checks);
 }
 
 void
@@ -444,9 +392,9 @@ ButterflyAddrCheck::pass2(const BlockView &block)
     const ThreadId t = block.thread;
 
     // Collect the wing summaries S_{l,t} (epochs l-1..l+1, threads != t).
-    // They are probed in place per key; no per-block union is built.
-    std::vector<const AddrSet *> wing_changes; // allocAny / freeAny
-    std::vector<const AddrSet *> wing_access;
+    // They are probed in place; no per-block union is built.
+    std::vector<const IntervalSet *> wing_changes; // allocAny / freeAny
+    std::vector<const IntervalSet *> wing_access;
     const EpochId lo = l >= 1 ? l - 1 : 0;
     for (EpochId w = lo; w <= l + 1; ++w) {
         for (ThreadId u = 0; u < summaries_.size(); ++u) {
@@ -455,16 +403,19 @@ ButterflyAddrCheck::pass2(const BlockView &block)
             const BlockSummary *s = slotIfValid(w, u);
             if (!s)
                 continue;
-            for (const AddrSet *set : {&s->allocAny, &s->freeAny})
+            for (const IntervalSet *set : {&s->allocAny, &s->freeAny})
                 if (!set->empty())
                     wing_changes.push_back(set);
             if (!s->access.empty())
                 wing_access.push_back(&s->access);
         }
     }
-    auto in_any = [](const std::vector<const AddrSet *> &sets, Addr k) {
+    auto in_any = [](const std::vector<const IntervalSet *> &sets,
+                     const KeyRun &r) {
         return std::any_of(sets.begin(), sets.end(),
-                           [k](const AddrSet *s) { return s->contains(k); });
+                           [&r](const IntervalSet *s) {
+                               return s->overlaps(r.lo, r.hi);
+                           });
     };
 
     // Skip what cannot flag, decided from the body's own pass-1 summary
@@ -477,8 +428,8 @@ ButterflyAddrCheck::pass2(const BlockView &block)
         !own->allocAny.empty() || !own->freeAny.empty();
     const bool check_accesses =
         std::any_of(wing_changes.begin(), wing_changes.end(),
-                    [own](const AddrSet *s) {
-                        return s->intersects(own->access);
+                    [own](const IntervalSet *s) {
+                        return s->overlaps(own->access);
                     });
     if (!check_changes && !check_accesses) {
         commitBlock(l, t, {}, 0, 0, true);
@@ -490,48 +441,32 @@ ButterflyAddrCheck::pass2(const BlockView &block)
 
     // Isolation check (Section 6.1): a body alloc/free conflicts with any
     // concurrent alloc/free/access of the same key; a body access
-    // conflicts with any concurrent alloc/free of its key. One record per
-    // checked range, at its first conflicting key.
-    std::vector<Addr> keys;
+    // conflicts with any concurrent alloc/free of its key. One range
+    // query per checked operation and wing set; one record per flagged
+    // operation.
     auto check = [&](std::uint64_t index, Addr base, std::uint16_t size,
                      bool state_change) {
-        keysOf(base, size, keys);
-        for (Addr k : keys) {
-            if (in_any(wing_changes, k) ||
-                (state_change && in_any(wing_access, k))) {
-                local_errors.push_back(ErrorRecord{
-                    t, index, base, ErrorKind::NonIsolatedOp, size});
-                ++isolation;
-                return;
-            }
+        const auto keys = config_.keysOf(base, size);
+        if (!keys)
+            return;
+        if (in_any(wing_changes, *keys) ||
+            (state_change && in_any(wing_access, *keys))) {
+            local_errors.push_back(ErrorRecord{
+                t, index, base, ErrorKind::NonIsolatedOp, size});
+            ++isolation;
         }
     };
 
     for (InstrOffset i = 0; i < block.size(); ++i) {
         const Event &e = block.events[i];
         const std::uint64_t index = block.first + i;
-        switch (e.kind) {
-          case EventKind::Alloc:
-          case EventKind::Free:
+        if (e.kind == EventKind::Alloc || e.kind == EventKind::Free) {
             if (check_changes)
                 check(index, e.addr, e.size, true);
-            break;
-          case EventKind::Read:
-          case EventKind::Write:
-          case EventKind::Use:
-            if (check_accesses)
-                check(index, e.addr, e.size, false);
-            break;
-          case EventKind::Assign:
-            if (check_accesses) {
-                check(index, e.addr, e.size, false);
-                const Addr srcs[2] = {e.src0, e.src1};
-                for (unsigned n = 0; n < e.nsrc; ++n)
-                    check(index, srcs[n], e.size, false);
-            }
-            break;
-          default:
-            break;
+        } else if (check_accesses) {
+            forEachAccess(e, [&](Addr base) {
+                check(index, base, e.size, false);
+            });
         }
     }
 
@@ -544,57 +479,42 @@ ButterflyAddrCheck::finalizeEpoch(EpochId l)
     const std::size_t nthreads = summaries_.size();
 
     // KILL_l = U_t KILL_{l,t}
-    AddrSet kill_epoch;
+    IntervalSet kill_epoch;
     for (ThreadId t = 0; t < nthreads; ++t) {
         if (const BlockSummary *s = slotIfValid(l, t))
             kill_epoch.unionWith(s->killEnd);
     }
 
-    // GEN_l: allocated by some thread, and every other thread
-    // allocates-or-never-frees it across epochs l-1..l (Section 5.2).
-    auto gen_span = [&](Addr key, ThreadId u) {
+    // GEN_l: allocated at the end of some block (l, t), and every other
+    // thread u allocates-or-never-frees it across epochs l-1..l
+    // (Section 5.2). Per key, u rules it out exactly when u frees it in
+    // epoch l, or frees it in epoch l-1 without re-allocating it in
+    // epoch l (a block's genEnd and killEnd are disjoint):
+    //   BLOCKED_u = KILL_{l,u} U (KILL_{l-1,u} - GEN_{l,u})
+    //   GEN_l     = U_t (GEN_{l,t} - U_{u!=t} BLOCKED_u)
+    std::vector<IntervalSet> blocked(nthreads);
+    for (ThreadId u = 0; u < nthreads; ++u) {
         const BlockSummary *cur = slotIfValid(l, u);
-        if (cur && cur->genEnd.contains(key))
-            return true;
-        if (l >= 1) {
-            const BlockSummary *prev = slotIfValid(l - 1, u);
-            if (prev && prev->genEnd.contains(key) &&
-                !(cur && cur->killEnd.contains(key))) {
-                return true;
-            }
+        const BlockSummary *prev = l >= 1 ? slotIfValid(l - 1, u) : nullptr;
+        if (prev && !prev->killEnd.empty()) {
+            blocked[u] = prev->killEnd;
+            if (cur)
+                blocked[u].subtract(cur->genEnd);
         }
-        return false;
-    };
-    auto not_kill_span = [&](Addr key, ThreadId u) {
-        if (l >= 1) {
-            const BlockSummary *prev = slotIfValid(l - 1, u);
-            if (prev && prev->killEnd.contains(key))
-                return false;
-        }
-        const BlockSummary *cur = slotIfValid(l, u);
-        if (cur && cur->killEnd.contains(key))
-            return false;
-        return true;
-    };
-
-    AddrSet gen_epoch;
+        if (cur)
+            blocked[u].unionWith(cur->killEnd);
+    }
+    IntervalSet gen_epoch;
     for (ThreadId t = 0; t < nthreads; ++t) {
         const BlockSummary *s = slotIfValid(l, t);
-        if (!s)
+        if (!s || s->genEnd.empty())
             continue;
-        for (Addr key : s->genEnd) {
-            bool all_others = true;
-            for (ThreadId u = 0; u < nthreads; ++u) {
-                if (u == t)
-                    continue;
-                if (!gen_span(key, u) && !not_kill_span(key, u)) {
-                    all_others = false;
-                    break;
-                }
-            }
-            if (all_others)
-                gen_epoch.insert(key);
+        IntervalSet gen = s->genEnd;
+        for (ThreadId u = 0; u < nthreads && !gen.empty(); ++u) {
+            if (u != t)
+                gen.subtract(blocked[u]);
         }
+        gen_epoch.unionWith(gen);
     }
 
     sosWork_[l] = gen_epoch.size() + kill_epoch.size();

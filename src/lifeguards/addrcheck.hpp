@@ -30,11 +30,13 @@
 #define BUTTERFLY_LIFEGUARDS_ADDRCHECK_HPP
 
 #include <array>
+#include <bit>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "common/addr_set.hpp"
+#include "common/interval_set.hpp"
 #include "butterfly/window.hpp"
 #include "lifeguards/report.hpp"
 
@@ -50,12 +52,38 @@ struct AddrCheckConfig
     Addr heapBase = 0;
     Addr heapLimit = kNoAddr;
 
-    Addr keyOf(Addr addr) const { return addr / granularity; }
+    Addr
+    keyOf(Addr addr) const
+    {
+        // Granularities are powers of two in practice: shift rather than
+        // pay a 64-bit divide on every operand of the hot loops.
+        if ((granularity & (granularity - 1)) == 0)
+            return addr >> std::countr_zero(granularity);
+        return addr / granularity;
+    }
 
     bool
     monitored(Addr addr) const
     {
         return addr >= heapBase && addr < heapLimit;
+    }
+
+    /**
+     * The metadata keys an operation of @p size bytes at @p base
+     * touches, or nothing if it has no address or starts outside the
+     * monitored window. The last byte saturates at the top of the
+     * address space instead of wrapping, so a range that runs past
+     * 2^64 - 1 covers the keys up to the last one rather than none.
+     * Shared by the butterfly lifeguard and the oracle.
+     */
+    std::optional<KeyRun>
+    keysOf(Addr base, std::uint16_t size) const
+    {
+        if (base == kNoAddr || !monitored(base))
+            return std::nullopt;
+        const Addr span = size > 0 ? size - 1u : 0u;
+        const Addr last = span > kNoAddr - base ? kNoAddr : base + span;
+        return KeyRun{keyOf(base), keyOf(last)};
     }
 };
 
@@ -79,10 +107,11 @@ class ButterflyAddrCheck : public AnalysisDriver
     void finalizeEpoch(EpochId l) override;
 
     /**
-     * Batched pass 1: transpose the block to columnar form, expand it
-     * into (key, op) pairs, sort by key, and build the summary sets by
-     * run — one LSOS probe per distinct key and run-length bulk inserts
-     * into the FlatSets, instead of one hash probe per event. Produces
+     * Batched pass 1: between two alloc/free events the allocation
+     * state is fixed, so the access ranges of each such segment are
+     * merged into key runs first, and one state query per run clears
+     * the whole segment when every touched key is allocated (a segment
+     * that can flag is walked again, op by op). Produces
      * bit-identical results to the scalar walk (error records in the
      * same order, identical summaries and counters); pass 2 and
      * finalizeEpoch are unchanged either way.
@@ -101,7 +130,7 @@ class ButterflyAddrCheck : public AnalysisDriver
     const ErrorLog &errors() const { return errors_; }
 
     /** Current SOS: keys believed allocated 2+ epochs ago. */
-    const AddrSet &sosNow() const { return sos_; }
+    const IntervalSet &sosNow() const { return sos_; }
 
     /** Metadata checks performed (cost-model feed). */
     std::uint64_t eventsChecked() const { return eventsChecked_; }
@@ -110,10 +139,11 @@ class ButterflyAddrCheck : public AnalysisDriver
     /** Newly-flagged events attributed to block (l, t). */
     std::uint64_t errorsInBlock(EpochId l, ThreadId t) const;
 
-    /** |GEN| + |KILL| + |ACCESS| of block (l, t)'s pass-1 summary —
-     *  the meet cost the performance model (harness/perf_model) charges
-     *  per wing block. pass2 itself builds no union: it probes the wing
-     *  sets in place, so its cost is not this number. */
+    /** |GEN| + |KILL| + |ACCESS| of block (l, t)'s pass-1 summary, in
+     *  keys — the meet cost the performance model (harness/perf_model)
+     *  charges per wing block. The summaries are held as key runs and
+     *  pass 2 probes them in place, one range query per event and wing
+     *  set, so neither its cost nor the memory held is this number. */
     std::uint64_t summarySize(EpochId l, ThreadId t) const;
 
     /** |GEN_l| + |KILL_l|: elements folded into the SOS for epoch l. */
@@ -122,14 +152,14 @@ class ButterflyAddrCheck : public AnalysisDriver
   private:
     static constexpr std::size_t kWindow = 4; ///< ring depth (epochs)
 
-    /** Per-block pass-1 summary s_{l,t}. */
+    /** Per-block pass-1 summary s_{l,t}, as key-run sets. */
     struct BlockSummary
     {
-        AddrSet genEnd;   ///< allocated at block end (net)
-        AddrSet killEnd;  ///< freed at block end (net)
-        AddrSet allocAny; ///< allocated anywhere in the block
-        AddrSet freeAny;  ///< freed anywhere in the block
-        AddrSet access;   ///< ACCESS_{l,t}: keys read or written
+        IntervalSet genEnd;   ///< allocated at block end (net)
+        IntervalSet killEnd;  ///< freed at block end (net)
+        IntervalSet allocAny; ///< allocated anywhere in the block
+        IntervalSet freeAny;  ///< freed anywhere in the block
+        IntervalSet access;   ///< ACCESS_{l,t}: keys read or written
         EpochId epoch = kNoEpoch;
     };
 
@@ -139,15 +169,9 @@ class ButterflyAddrCheck : public AnalysisDriver
         return (l << 32) | t; // ThreadId is 32-bit: no (l, t) collides
     }
 
-    BlockSummary &slot(EpochId l, ThreadId t);
+    /** Empty the ring slot of block (l, t) for its pass 1. */
+    BlockSummary &resetSlot(EpochId l, ThreadId t);
     const BlockSummary *slotIfValid(EpochId l, ThreadId t) const;
-
-    /** Key membership in LSOS_{l,t} before any local delta. */
-    bool lsosBaseContains(Addr key, EpochId l, ThreadId t) const;
-
-    /** Expand an address range into monitored metadata keys. */
-    void keysOf(Addr base, std::uint16_t size,
-                std::vector<Addr> &out) const;
 
     /** Commit a block's locally-collected reports under the mutex;
      *  @p pass2_skipped marks a pass-2 block that could flag nothing. */
@@ -156,13 +180,18 @@ class ButterflyAddrCheck : public AnalysisDriver
                      std::uint64_t checks, std::uint64_t isolation,
                      bool pass2_skipped);
 
-    /** Record the finished pass-1 summary's size and commit errors —
-     *  the shared tail of the scalar and batched kernels. */
-    void finishPass1(EpochId l, ThreadId t, const BlockSummary &s,
+    /** Allocation state of one block during its pass 1 (see .cpp). */
+    class LocalState;
+
+    /** Build ACCESS from the block's access ranges (in any order),
+     *  record the summary's size and commit errors — the shared tail of
+     *  the scalar and batched kernels. */
+    void finishPass1(EpochId l, ThreadId t, BlockSummary &s,
+                     std::vector<KeyRun> &access_runs,
                      const std::vector<ErrorRecord> &local_errors,
                      std::uint64_t checks);
 
-    /** The batched (columnar sort-by-key) pass-1 kernel. */
+    /** The batched (segment-at-a-time) pass-1 kernel. */
     void pass1Batched(const BlockView &block);
 
     AddrCheckConfig config_;
@@ -171,7 +200,7 @@ class ButterflyAddrCheck : public AnalysisDriver
     /** Ring of per-epoch, per-thread summaries. */
     std::vector<std::array<BlockSummary, kWindow>> summaries_; ///< [t]
 
-    AddrSet sos_; ///< single-writer SOS, advanced in finalizeEpoch
+    IntervalSet sos_; ///< single-writer SOS, advanced in finalizeEpoch
 
     std::mutex mutex_; ///< guards the shared members below
     ErrorLog errors_;

@@ -26,17 +26,16 @@ AddrCheckOracle::checkKeys(ThreadId tid, std::uint64_t index, Addr base,
                            std::uint16_t size, bool want_allocated,
                            ErrorKind kind_if_bad)
 {
-    if (base == kNoAddr || !config_.monitored(base))
+    const auto keys = config_.keysOf(base, size);
+    if (!keys)
         return;
-    const Addr first = config_.keyOf(base);
-    const Addr last = config_.keyOf(base + (size > 0 ? size - 1 : 0));
-    const std::size_t count = static_cast<std::size_t>(last - first) + 1;
+    const std::size_t count = static_cast<std::size_t>(keys->keys());
     eventsChecked_ += count;
     // One span walk instead of one shadow lookup per key. The log
     // coalesces repeated reports of the same event, so flagging the
     // event once is equivalent to the old per-key reporting.
     bool any_bad = false;
-    allocated_.forEachInRange(first, count, [&](std::uint8_t v) {
+    allocated_.forEachInRange(keys->lo, count, [&](std::uint8_t v) {
         any_bad |= (v != 0) != want_allocated;
     });
     if (any_bad)
@@ -48,28 +47,16 @@ AddrCheckOracle::processOne(ThreadId tid, std::uint64_t index,
                             const Event &e)
 {
     switch (e.kind) {
-      case EventKind::Alloc: {
-        checkKeys(tid, index, e.addr, e.size, false,
-                  ErrorKind::DoubleAlloc);
-        if (e.addr != kNoAddr && config_.monitored(e.addr)) {
-            const Addr first = config_.keyOf(e.addr);
-            const Addr last = config_.keyOf(
-                e.addr + (e.size > 0 ? e.size - 1 : 0));
-            allocated_.setRange(
-                first, static_cast<std::size_t>(last - first) + 1, 1);
-        }
-        break;
-      }
+      case EventKind::Alloc:
       case EventKind::Free: {
-        checkKeys(tid, index, e.addr, e.size, true,
-                  ErrorKind::UnallocatedFree);
-        if (e.addr != kNoAddr && config_.monitored(e.addr)) {
-            const Addr first = config_.keyOf(e.addr);
-            const Addr last = config_.keyOf(
-                e.addr + (e.size > 0 ? e.size - 1 : 0));
-            allocated_.setRange(
-                first, static_cast<std::size_t>(last - first) + 1, 0);
-        }
+        const bool alloc = e.kind == EventKind::Alloc;
+        checkKeys(tid, index, e.addr, e.size, !alloc,
+                  alloc ? ErrorKind::DoubleAlloc
+                        : ErrorKind::UnallocatedFree);
+        if (const auto keys = config_.keysOf(e.addr, e.size))
+            allocated_.setRange(keys->lo,
+                                static_cast<std::size_t>(keys->keys()),
+                                alloc ? 1 : 0);
         break;
       }
       case EventKind::Read:

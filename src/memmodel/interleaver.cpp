@@ -25,7 +25,15 @@ isStoreLike(const Event &e)
     }
 }
 
-/** Address range(s) an event touches, for intra-thread dependences. */
+/**
+ * Granule at which intra-thread dependences are tracked: the coarsest
+ * metadata granularity a lifeguard keys its state by. Two events that
+ * share a granule but no byte still update or read the same metadata,
+ * so a later one must not become visible before an earlier one.
+ */
+constexpr Addr kDependenceGranule = 8;
+
+/** True if two events touch a common metadata granule. */
 bool
 rangesOverlap(const Event &a, const Event &b)
 {
@@ -33,9 +41,15 @@ rangesOverlap(const Event &a, const Event &b)
                        std::uint16_t sz_b) {
         if (base_a == kNoAddr || base_b == kNoAddr)
             return false;
-        const Addr end_a = base_a + (sz_a > 0 ? sz_a : 1);
-        const Addr end_b = base_b + (sz_b > 0 ? sz_b : 1);
-        return base_a < end_b && base_b < end_a;
+        // Last byte, saturating at the top of the address space.
+        auto last = [](Addr base, std::uint16_t sz) {
+            const Addr span = sz > 0 ? sz - 1u : 0u;
+            return span > kNoAddr - base ? kNoAddr : base + span;
+        };
+        return base_a / kDependenceGranule <=
+                   last(base_b, sz_b) / kDependenceGranule &&
+               base_b / kDependenceGranule <=
+                   last(base_a, sz_a) / kDependenceGranule;
     };
     Addr a_addrs[3] = {a.addr, kNoAddr, kNoAddr};
     Addr b_addrs[3] = {b.addr, kNoAddr, kNoAddr};
@@ -199,9 +213,9 @@ interleave(const std::vector<std::vector<Event>> &programs,
             }
             // Intra-thread dependences are respected (paper Section 4.4
             // assumption (i)): a TSO core forwards from its own store
-            // buffer, so any buffered store to an overlapping address
-            // must become visible no later than this event. Drain the
-            // FIFO through the last overlapping store.
+            // buffer, so any buffered store that shares a metadata
+            // granule with this event must become visible no later than
+            // it. Drain the FIFO through the last such store.
             std::size_t drain_through = 0;
             bool found = false;
             for (std::size_t k = 0; k < buf.size(); ++k) {

@@ -156,17 +156,37 @@ struct Analysis
     const std::vector<const std::vector<Event> *> threads;
     const SiteTable &table;
     const Addr widen;
+    const ClassifyOptions options;
 
     std::unordered_map<Cell, CellInfo> cells;
     std::unordered_map<Addr, std::uint64_t> allocExtent; ///< base -> max size
     std::vector<SiteFacts> facts; ///< [site]; index 0 = kNoSite
 
     Analysis(std::vector<const std::vector<Event> *> ts,
-             const SiteTable &tbl, unsigned granularity)
+             const SiteTable &tbl, const ClassifyOptions &opts)
         : threads(std::move(ts)), table(tbl),
-          widen(std::max<Addr>(8, std::bit_ceil<Addr>(granularity))),
-          facts(tbl.size() + 1)
+          widen(std::max<Addr>(8, std::bit_ceil<Addr>(opts.granularity))),
+          options(opts), facts(tbl.size() + 1)
     {}
+
+    /** @p r grown to whole widened cells. A lifeguard keeps one state
+     *  per key, so an Alloc or Free touching any byte of a cell resets
+     *  the whole cell's definedness or allocation. */
+    ByteRange
+    wholeCells(const ByteRange &r) const
+    {
+        const Addr lo = r.lo / widen * widen;
+        const Addr last = rangeHi(r) / widen * widen;
+        const Addr hi = last > ~0ull - (widen - 1) ? ~0ull : last + widen - 1;
+        return {lo, hi - lo + 1};
+    }
+
+    /** True if the window-filtered lifeguards see an event at @p base. */
+    bool
+    monitored(Addr base) const
+    {
+        return base >= options.heapBase && base < options.heapLimit;
+    }
 
     /** The Free footprint: its own size widened to the largest block any
      *  Alloc ever placed at that base (flow-insensitive block extent). */
@@ -310,12 +330,13 @@ struct Analysis
                 switch (e.kind) {
                   case EventKind::Alloc: {
                     const ByteRange r{e.addr, e.size ? e.size : 1u};
-                    allocMask.set(r);
-                    defMask.clear(r); // fresh memory holds garbage
+                    if (monitored(e.addr))
+                        allocMask.set(r);
+                    defMask.clear(wholeCells(r)); // fresh memory: garbage
                     break;
                   }
                   case EventKind::Free: {
-                    const ByteRange r = freeRange(e);
+                    const ByteRange r = wholeCells(freeRange(e));
                     allocMask.clear(r);
                     defMask.clear(r);
                     break;
@@ -343,7 +364,7 @@ struct Analysis
                         clean = false;
                     if (!clean)
                         f.allRwCandidates = false;
-                    if (e.kind == EventKind::Write)
+                    if (e.kind == EventKind::Write && monitored(e.addr))
                         defMask.set(r);
                     break;
                   }
@@ -406,7 +427,7 @@ classifyImpl(std::vector<const std::vector<Event> *> threads,
     ClassifyStats stats;
     stats.sites = table.size();
 
-    Analysis a(std::move(threads), table, options.granularity);
+    Analysis a(std::move(threads), table, options);
     a.globalPass();
     a.taintClosure();
     a.orderPass(stats);

@@ -54,6 +54,12 @@ struct ClassifyOptions
     /** Largest metadata granularity any consuming lifeguard uses; cells
      *  are widened to at least 8 bytes (the repo-wide default key). */
     unsigned granularity = 8;
+    /** Window the address-filtered lifeguards monitor (ADDRCHECK's and
+     *  DEFINEDCHECK's heapBase/heapLimit). They ignore an event whose
+     *  base lies outside it, even where its range reaches inside, so
+     *  such an Alloc or Write covers no access. */
+    Addr heapBase = 0;
+    Addr heapLimit = kNoAddr;
 };
 
 /** What the classifier proved (reporting; the plan holds the verdicts). */

@@ -601,5 +601,206 @@ TEST(AddrCheck, ErrorsPerBlockDistinctBeyond256Threads)
     EXPECT_EQ(run.check->summarySize(1, 0), 2u);
 }
 
+// --------------------------------------------------------------------
+// Range boundaries: a 7,680-key (60 KiB) allocation, granularity 8.
+// --------------------------------------------------------------------
+
+constexpr Addr kBig = 0x100000;          ///< base of the large range
+constexpr std::uint16_t kBigBytes = 61440; ///< 7,680 keys
+
+/** All records as (tid, index, addr, kind, size), in log order. */
+std::vector<std::tuple<ThreadId, std::uint64_t, Addr, ErrorKind,
+                       std::uint16_t>>
+allRecords(const ButterflyAddrCheck &check)
+{
+    std::vector<std::tuple<ThreadId, std::uint64_t, Addr, ErrorKind,
+                           std::uint16_t>>
+        out;
+    for (const ErrorRecord &r : check.errors().records())
+        out.emplace_back(r.tid, r.index, r.addr, r.kind, r.size);
+    return out;
+}
+
+TEST(AddrCheckPass2, LargeFreeMeetsWingAccessesAtItsEdgesOnly)
+{
+    // t0 allocates the large range between two 16-byte guards in epoch
+    // 0 (all in the SOS by epoch 3, as one merged run) and frees it in
+    // epoch 3. t1 reads around both edges in epoch 3: every read is
+    // allocated in its LSOS, so only pass 2 flags, and only reads that
+    // share a key with the freed range.
+    auto run = runAddrCheck(
+        test::traceOf({
+            {Event::alloc(kBig - 16, 16), Event::alloc(kBig, kBigBytes),
+             Event::alloc(kBig + kBigBytes, 16), Event::heartbeat(),
+             Event::nop(), Event::heartbeat(), Event::nop(),
+             Event::heartbeat(), Event::freeOf(kBig, kBigBytes)},
+            {Event::nop(), Event::heartbeat(), Event::nop(),
+             Event::heartbeat(), Event::nop(), Event::heartbeat(),
+             Event::read(kBig, 8),                 // 3: first key
+             Event::read(kBig + kBigBytes - 8, 8), // 4: last key
+             Event::read(kBig - 8, 8),             // 5: one key before
+             Event::read(kBig + kBigBytes, 8),     // 6: one key past
+             Event::read(kBig - 4, 8),             // 7: straddles in
+             Event::read(kBig + kBigBytes - 4, 8), // 8: straddles out
+             Event::read(kBig - 12, 8)},           // 9: two keys before
+        }),
+        wideConfig());
+    const std::vector<RecordTuple> want = {
+        {0, 5, kBig, kBigBytes},
+        {1, 3, kBig, 8},
+        {1, 4, kBig + kBigBytes - 8, 8},
+        {1, 7, kBig - 4, 8},
+        {1, 8, kBig + kBigBytes - 4, 8}};
+    EXPECT_EQ(nonIsolated(*run.check), want);
+    EXPECT_EQ(run.check->errors().size(), want.size()); // pass 1 clean
+    EXPECT_EQ(run.check->isolationViolations(), want.size());
+    // The guards stay allocated; the freed range leaves the SOS.
+    EXPECT_EQ(run.check->sosNow().size(), 4u);
+    EXPECT_TRUE(run.check->sosNow().contains(kBig / 8 - 1));
+    EXPECT_FALSE(run.check->sosNow().contains(kBig / 8));
+    EXPECT_TRUE(run.check->sosNow().contains((kBig + kBigBytes) / 8));
+}
+
+TEST(AddrCheckPass2, LargeAllocMeetsWingAccessAtFirstAndLastKey)
+{
+    // The alloc races with t1's reads of its first and last keys in the
+    // same epoch. Pass 1 reports the reads first (the allocation is not
+    // yet visible to t1), so their records keep that kind; pass 2 still
+    // counts them and flags the alloc itself. The reads one key outside
+    // touch guards allocated long before and flag nothing.
+    auto run = runAddrCheck(
+        test::traceOf({
+            {Event::alloc(kBig - 8, 8), Event::alloc(kBig + kBigBytes, 8),
+             Event::heartbeat(), Event::nop(), Event::heartbeat(),
+             Event::nop(), Event::heartbeat(),
+             Event::alloc(kBig, kBigBytes)},
+            {Event::nop(), Event::heartbeat(), Event::nop(),
+             Event::heartbeat(), Event::nop(), Event::heartbeat(),
+             Event::read(kBig, 8), Event::read(kBig + kBigBytes - 8, 8),
+             Event::read(kBig - 8, 8), Event::read(kBig + kBigBytes, 8)},
+        }),
+        wideConfig());
+    using K = ErrorKind;
+    const decltype(allRecords(*run.check)) want = {
+        {1, 3, kBig, K::UnallocatedAccess, 8},
+        {1, 4, kBig + kBigBytes - 8, K::UnallocatedAccess, 8},
+        {0, 4, kBig, K::NonIsolatedOp, kBigBytes}};
+    EXPECT_EQ(allRecords(*run.check), want);
+    EXPECT_EQ(run.check->isolationViolations(), 3u);
+}
+
+TEST(AddrCheckPass1, MiddleFreeOfLargeAllocSplitsItExactly)
+{
+    // One thread allocates the large range, frees keys 1024..2047 of it,
+    // and probes both edges of the hole: within the block (local delta),
+    // in the next epoch (GEN_{l-1,t}) and two epochs on (the SOS).
+    const std::vector<Event> probes = {
+        Event::read(kBig + 8192, 8),  // first freed key
+        Event::read(kBig + 16376, 8), // last freed key
+        Event::read(kBig + 8184, 8),  // key before the hole
+        Event::read(kBig + 16384, 8), // key after the hole
+        Event::read(kBig + 8188, 8),  // straddles into the hole
+        Event::read(kBig + 16380, 8), // straddles out of the hole
+    };
+    std::vector<Event> program = {Event::alloc(kBig, kBigBytes),
+                                  Event::freeOf(kBig + 8192, 8192)};
+    program.insert(program.end(), probes.begin(), probes.end());
+    program.push_back(Event::heartbeat());
+    program.insert(program.end(), probes.begin(), probes.end());
+    program.push_back(Event::heartbeat());
+    program.push_back(Event::nop());
+    program.push_back(Event::heartbeat());
+    program.insert(program.end(), probes.begin(), probes.end());
+    auto run = runAddrCheck(test::traceOf({program}), wideConfig());
+
+    std::vector<RecordTuple> want;
+    for (const std::uint64_t first : {2u, 8u, 15u}) {
+        want.emplace_back(0, first, kBig + 8192, 8);
+        want.emplace_back(0, first + 1, kBig + 16376, 8);
+        want.emplace_back(0, first + 4, kBig + 8188, 8);
+        want.emplace_back(0, first + 5, kBig + 16380, 8);
+    }
+    std::vector<RecordTuple> got;
+    for (const ErrorRecord &r : run.check->errors().records()) {
+        EXPECT_EQ(r.kind, ErrorKind::UnallocatedAccess);
+        got.emplace_back(r.tid, r.index, r.addr, r.size);
+    }
+    EXPECT_EQ(got, want);
+    // 7,680 + 1,024 keys for the alloc and free, 8 per probe group.
+    EXPECT_EQ(run.check->eventsChecked(), 7680u + 1024u + 3 * 8u);
+    // genEnd 6,656 + killEnd 1,024 + four accessed keys.
+    EXPECT_EQ(run.check->summarySize(0, 0), 6656u + 1024u + 4u);
+    EXPECT_EQ(run.check->sosUpdateWork(0), 6656u + 1024u);
+    EXPECT_EQ(run.check->sosNow().size(), 6656u);
+    EXPECT_TRUE(run.check->sosNow().contains(kBig / 8 + 1023));
+    EXPECT_FALSE(run.check->sosNow().contains(kBig / 8 + 1024));
+    EXPECT_FALSE(run.check->sosNow().contains(kBig / 8 + 2047));
+    EXPECT_TRUE(run.check->sosNow().contains(kBig / 8 + 2048));
+}
+
+TEST(AddrCheckPass1, RangeStraddlingHeapLimitCoversEveryKey)
+{
+    // Only the base address decides monitoring: an alloc that starts
+    // inside the window covers all its keys, past heapLimit included,
+    // while operations that start at or past the limit are ignored.
+    AddrCheckConfig cfg = wideConfig();
+    cfg.heapBase = kBig;
+    cfg.heapLimit = kBig + 4096;
+    auto run = runAddrCheck(test::traceOf({{
+        Event::read(kBig + 4088, 16),   // 0: straddles the limit, unallocated
+        Event::alloc(kBig, kBigBytes),  // 1: 7,680 keys
+        Event::read(kBig + 4088, 16),   // 2: both keys allocated
+        Event::read(kBig + 8192, 8),    // 3: unmonitored
+        Event::freeOf(kBig + 8192, 8),  // 4: unmonitored: key stays
+        Event::heartbeat(),
+        Event::alloc(kBig + 4000, 200), // 5: double alloc via GEN_{0,t}
+    }}),
+    cfg);
+    using K = ErrorKind;
+    const decltype(allRecords(*run.check)) want = {
+        {0, 0, kBig + 4088, K::UnallocatedAccess, 16},
+        {0, 5, kBig + 4000, K::DoubleAlloc, 200}};
+    EXPECT_EQ(allRecords(*run.check), want);
+    EXPECT_EQ(run.check->eventsChecked(), 2u + 7680u + 2u + 25u);
+    EXPECT_EQ(run.check->summarySize(0, 0), 7680u + 2u);
+}
+
+TEST(AddrCheck, RangePastTopOfAddressSpaceSaturates)
+{
+    // With the default window (heapLimit = kNoAddr), a 32-byte access
+    // 16 bytes below 2^64 must cover the keys up to the last one, not
+    // wrap around to none; the oracle must check the same keys. At
+    // granularity 1 the last key is ~0 itself.
+    const Addr top16 = ~Addr{0} - 15;
+    for (const unsigned granularity : {8u, 1u}) {
+        AddrCheckConfig cfg = wideConfig();
+        cfg.granularity = granularity;
+        const std::uint64_t keys = granularity == 8 ? 2 : 16;
+        Trace trace = test::traceOf({{Event::read(top16, 32)}});
+
+        auto run = runAddrCheck(trace, cfg);
+        ASSERT_EQ(run.check->errors().size(), 1u) << granularity;
+        EXPECT_TRUE(run.check->errors().flagged(0, 0));
+        EXPECT_EQ(run.check->eventsChecked(), keys);
+
+        AddrCheckOracle oracle(cfg);
+        oracle.runOnTrace(trace);
+        ASSERT_EQ(oracle.errors().size(), 1u) << granularity;
+        EXPECT_TRUE(oracle.errors().flagged(0, 0));
+        EXPECT_EQ(oracle.eventsChecked(), keys);
+
+        // Allocated first (64 bytes ending exactly at 2^64 - 1), the
+        // same access is clean on both sides.
+        Trace clean = test::traceOf({{Event::alloc(~Addr{0} - 63, 64),
+                                      Event::read(top16, 32)}});
+        auto run2 = runAddrCheck(clean, cfg);
+        EXPECT_TRUE(run2.check->errors().empty()) << granularity;
+        AddrCheckOracle oracle2(cfg);
+        oracle2.runOnTrace(clean);
+        EXPECT_TRUE(oracle2.errors().empty()) << granularity;
+        EXPECT_EQ(run2.check->eventsChecked(), oracle2.eventsChecked());
+    }
+}
+
 } // namespace
 } // namespace bfly

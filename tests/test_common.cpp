@@ -1,6 +1,8 @@
 /** @file Unit tests for src/common: sets, shadow memory, heap, RNG, stats. */
 
 #include <algorithm>
+#include <iterator>
+#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -8,6 +10,7 @@
 
 #include "common/addr_set.hpp"
 #include "common/heap.hpp"
+#include "common/interval_set.hpp"
 #include "common/rng.hpp"
 #include "common/shadow_memory.hpp"
 #include "common/stats.hpp"
@@ -215,113 +218,6 @@ TEST(FlatSet, AlgebraMatchesUnorderedSetModel)
     }
 }
 
-TEST(FlatSet, InsertBulkMatchesPerElementInsert)
-{
-    // Property test across both storage regimes and input shapes: a
-    // bulk insert must leave the set in exactly the state a
-    // per-element insert loop would, for sorted, unsorted, and
-    // duplicate-heavy inputs.
-    Rng rng(0xb01d);
-    for (int trial = 0; trial < 40; ++trial) {
-        const std::size_t pre = rng.below(12);   // some trials inline
-        const std::size_t n = rng.below(trial % 4 == 0 ? 6 : 300);
-        const Addr universe = 1 + rng.below(100);
-
-        AddrSet bulk, scalar;
-        for (std::size_t i = 0; i < pre; ++i) {
-            const Addr k = rng.below(universe);
-            bulk.insert(k);
-            scalar.insert(k);
-        }
-        std::vector<Addr> keys;
-        for (std::size_t i = 0; i < n; ++i) {
-            Addr k = rng.below(universe);
-            if (rng.chance(0.03))
-                k = kNoAddr; // sentinel must survive the bulk path
-            keys.push_back(k);
-        }
-        if (trial % 2 == 0)
-            std::sort(keys.begin(), keys.end()); // run-length dedupe path
-
-        bulk.insertBulk(keys);
-        for (Addr k : keys)
-            scalar.insert(k);
-        ASSERT_EQ(bulk.size(), scalar.size()) << "trial " << trial;
-        EXPECT_EQ(bulk.sorted(), scalar.sorted()) << "trial " << trial;
-    }
-}
-
-TEST(FlatSet, InsertBulkIntoInlineBufferStaysInline)
-{
-    // A bulk insert that fits the 8-key inline buffer must not force a
-    // table migration, and duplicates must not inflate the size.
-    AddrSet s;
-    const std::vector<Addr> keys{3, 3, 1, 4, 1, 5};
-    s.insertBulk(keys);
-    EXPECT_EQ(s.size(), 4u);
-    EXPECT_EQ(s.sorted(), (std::vector<Addr>{1, 3, 4, 5}));
-    s.insertBulk(std::vector<Addr>{5, 6, 7, 8});
-    EXPECT_EQ(s.size(), 7u);
-}
-
-TEST(FlatSet, ContainsBulkCountsLikePerElementLoop)
-{
-    // containsBulk must equal the sum of per-element contains() —
-    // duplicates in the query each count, present or not.
-    Rng rng(0xcb17);
-    for (int trial = 0; trial < 30; ++trial) {
-        const std::size_t n = rng.below(trial % 3 == 0 ? 8 : 200);
-        const Addr universe = 1 + rng.below(80);
-        AddrSet s;
-        for (std::size_t i = 0; i < n; ++i)
-            s.insert(rng.below(universe));
-        if (rng.chance(0.2))
-            s.insert(kNoAddr);
-
-        std::vector<Addr> query;
-        const std::size_t q = rng.below(150);
-        for (std::size_t i = 0; i < q; ++i) {
-            Addr k = rng.below(universe + 20); // some misses
-            if (rng.chance(0.05))
-                k = kNoAddr;
-            query.push_back(k);
-        }
-        if (trial % 2 == 0)
-            std::sort(query.begin(), query.end()); // probe-reuse path
-
-        std::size_t expected = 0;
-        for (Addr k : query)
-            expected += s.contains(k) ? 1 : 0;
-        EXPECT_EQ(s.containsBulk(query), expected) << "trial " << trial;
-    }
-}
-
-TEST(FlatSet, InsertBulkAfterBackwardShiftErase)
-{
-    // Backward-shift erase compacts probe chains; a subsequent bulk
-    // insert must still find the right slots (no stranded or duplicate
-    // entries), including re-inserting the erased keys themselves.
-    AddrSet sut;
-    std::unordered_set<Addr> model;
-    Rng rng(0xe7a5);
-    std::vector<Addr> keys;
-    for (int i = 0; i < 300; ++i)
-        keys.push_back(rng.next() % 512); // collision-heavy universe
-    sut.insertBulk(keys);
-    for (Addr k : keys)
-        model.insert(k);
-    for (std::size_t i = 0; i < keys.size(); i += 3) {
-        sut.erase(keys[i]);
-        model.erase(keys[i]);
-    }
-    sut.insertBulk(keys); // everything back in
-    for (Addr k : keys)
-        model.insert(k);
-    std::vector<Addr> expected(model.begin(), model.end());
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(sut.sorted(), expected);
-}
-
 TEST(FlatSet, BackwardShiftEraseKeepsProbeChainsIntact)
 {
     // Adversarial pattern for linear probing: long runs of keys, erased
@@ -337,6 +233,206 @@ TEST(FlatSet, BackwardShiftEraseKeepsProbeChainsIntact)
         s.erase(keys[i]);
     for (std::size_t i = 0; i < keys.size(); ++i)
         EXPECT_EQ(s.contains(keys[i]), i % 2 == 1) << "key index " << i;
+}
+
+TEST(IntervalSet, RangeInsertEraseCoalesceAndSplit)
+{
+    IntervalSet s;
+    s.insert(10, 19);
+    s.insert(30, 39);
+    EXPECT_EQ(s.size(), 20u);
+    ASSERT_EQ(s.runs().size(), 2u);
+    s.insert(20, 29); // touches both neighbours: one run
+    ASSERT_EQ(s.runs().size(), 1u);
+    EXPECT_EQ(s.runs()[0], (KeyRun{10, 39}));
+    s.erase(15, 24); // split in the middle
+    ASSERT_EQ(s.runs().size(), 2u);
+    EXPECT_EQ(s.runs()[0], (KeyRun{10, 14}));
+    EXPECT_EQ(s.runs()[1], (KeyRun{25, 39}));
+    EXPECT_EQ(s.size(), 20u);
+    EXPECT_TRUE(s.contains(14));
+    EXPECT_FALSE(s.contains(15));
+    EXPECT_FALSE(s.contains(24));
+    EXPECT_TRUE(s.contains(25));
+    EXPECT_TRUE(s.overlaps(0, 10));
+    EXPECT_FALSE(s.overlaps(15, 24));
+    EXPECT_TRUE(s.overlaps(24, 25));
+    EXPECT_FALSE(s.overlaps(40, 100));
+    s.erase(0, 100);
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.size(), 0u);
+}
+
+TEST(IntervalSet, RunAtReportsTheRunOrGapAroundAKey)
+{
+    IntervalSet s;
+    s.insert(10, 19);
+    s.insert(30, 39);
+    Addr lo = 0;
+    Addr hi = ~Addr{0};
+    EXPECT_TRUE(s.runAt(12, lo, hi));
+    EXPECT_EQ(lo, 10u);
+    EXPECT_EQ(hi, 19u);
+    lo = 0;
+    hi = ~Addr{0};
+    EXPECT_FALSE(s.runAt(25, lo, hi));
+    EXPECT_EQ(lo, 20u);
+    EXPECT_EQ(hi, 29u);
+    lo = 0;
+    hi = ~Addr{0};
+    EXPECT_FALSE(s.runAt(3, lo, hi));
+    EXPECT_EQ(lo, 0u);
+    EXPECT_EQ(hi, 9u);
+    lo = 0;
+    hi = ~Addr{0};
+    EXPECT_FALSE(s.runAt(50, lo, hi));
+    EXPECT_EQ(lo, 40u);
+    EXPECT_EQ(hi, ~Addr{0});
+    lo = 11; // runAt only narrows
+    hi = 15;
+    EXPECT_TRUE(s.runAt(12, lo, hi));
+    EXPECT_EQ(lo, 11u);
+    EXPECT_EQ(hi, 15u);
+}
+
+TEST(IntervalSet, KeysAtBothEndsOfTheKeySpace)
+{
+    const Addr top = ~Addr{0};
+    IntervalSet s;
+    s.insert(top - 3, top);
+    s.insert(0, 2);
+    EXPECT_EQ(s.size(), 7u);
+    EXPECT_TRUE(s.contains(top));
+    EXPECT_TRUE(s.contains(0));
+    EXPECT_EQ(s.sorted(),
+              (std::vector<Addr>{0, 1, 2, top - 3, top - 2, top - 1, top}));
+    s.insert(top - 5, top - 4); // touches the top run
+    EXPECT_EQ(s.runs().back(), (KeyRun{top - 5, top}));
+    s.erase(top, top);
+    EXPECT_FALSE(s.contains(top));
+    EXPECT_EQ(s.runs().back(), (KeyRun{top - 5, top - 1}));
+    IntervalSet all;
+    all.insert(top - 10, top);
+    all.subtract(s);
+    EXPECT_EQ(all.sorted(), (std::vector<Addr>{top - 10, top - 9, top - 8,
+                                               top - 7, top - 6, top}));
+}
+
+TEST(IntervalSet, MatchesStdSetModel)
+{
+    // Random range inserts/erases, unions and differences over a small
+    // key space (so runs meet, merge and split constantly), checked
+    // against a std::set of keys after every step.
+    Rng rng(2024);
+    for (int round = 0; round < 40; ++round) {
+        IntervalSet a;
+        IntervalSet b;
+        std::set<Addr> ma;
+        std::set<Addr> mb;
+        auto range = [&] {
+            const Addr lo = rng.below(200);
+            return KeyRun{lo, lo + rng.below(rng.chance(0.2) ? 60 : 6)};
+        };
+        for (int step = 0; step < 60; ++step) {
+            IntervalSet &s = rng.chance(0.5) ? a : b;
+            std::set<Addr> &m = &s == &a ? ma : mb;
+            const KeyRun r = range();
+            switch (rng.below(4)) {
+              case 0:
+              case 1:
+                s.insert(r.lo, r.hi);
+                for (Addr k = r.lo; k <= r.hi; ++k)
+                    m.insert(k);
+                break;
+              case 2:
+                s.erase(r.lo, r.hi);
+                for (Addr k = r.lo; k <= r.hi; ++k)
+                    m.erase(k);
+                break;
+              default: {
+                bool hit = false;
+                for (Addr k = r.lo; k <= r.hi; ++k)
+                    hit = hit || m.count(k) != 0;
+                EXPECT_EQ(s.overlaps(r.lo, r.hi), hit);
+                break;
+              }
+            }
+            ASSERT_EQ(s.sorted(), std::vector<Addr>(m.begin(), m.end()));
+            ASSERT_EQ(s.size(), m.size());
+            for (std::size_t i = 1; i < s.runs().size(); ++i)
+                ASSERT_GT(s.runs()[i].lo, s.runs()[i - 1].hi + 1);
+        }
+
+        bool shared = false;
+        for (Addr k : ma)
+            shared = shared || mb.count(k) != 0;
+        EXPECT_EQ(a.overlaps(b), shared);
+        EXPECT_EQ(b.overlaps(a), shared);
+
+        IntervalSet u = a;
+        u.unionWith(b);
+        std::set<Addr> mu = ma;
+        mu.insert(mb.begin(), mb.end());
+        EXPECT_EQ(u.sorted(), std::vector<Addr>(mu.begin(), mu.end()));
+        EXPECT_EQ(u.size(), mu.size());
+
+        IntervalSet d = a;
+        d.subtract(b);
+        std::vector<Addr> md;
+        std::set_difference(ma.begin(), ma.end(), mb.begin(), mb.end(),
+                            std::back_inserter(md));
+        EXPECT_EQ(d.sorted(), md);
+        EXPECT_EQ(d.size(), md.size());
+    }
+}
+
+TEST(IntervalSet, AssignUnionMergesRunsInAnyOrder)
+{
+    // Dense input (bitmap path) and the same shape spread over a wide
+    // span (sort path) give the same runs, including a run that ends on
+    // the bitmap's last bit and one that crosses a word boundary.
+    for (const Addr spread : {Addr{0}, Addr{1} << 40}) {
+        std::vector<KeyRun> runs = {{14, 14},
+                                    {2, 2},
+                                    {9, 12},
+                                    {4, 6},
+                                    {1, 3},
+                                    {9, 9},
+                                    {60, 70},
+                                    {spread + 500, spread + 511},
+                                    {spread + 510, spread + 511}};
+        IntervalSet s;
+        s.insert(100, 200); // replaced, not merged
+        s.assignUnion(runs);
+        const std::vector<KeyRun> want = {{1, 6},
+                                          {9, 12},
+                                          {14, 14},
+                                          {60, 70},
+                                          {spread + 500, spread + 511}};
+        EXPECT_EQ(std::vector<KeyRun>(s.runs().begin(), s.runs().end()),
+                  want)
+            << "spread " << spread;
+        EXPECT_EQ(s.size(), 6u + 4u + 1u + 11u + 12u);
+    }
+    // Random inputs against the std::set model, both paths.
+    Rng rng(77);
+    for (int round = 0; round < 50; ++round) {
+        const Addr span = round % 2 ? 100000 : 300;
+        std::vector<KeyRun> runs;
+        std::set<Addr> model;
+        const std::size_t n = 1 + rng.below(40);
+        for (std::size_t i = 0; i < n; ++i) {
+            const Addr lo = 1000 + rng.below(span);
+            const Addr hi = lo + (rng.chance(0.7) ? 0 : rng.below(130));
+            runs.push_back(KeyRun{lo, hi});
+            for (Addr k = lo; k <= hi; ++k)
+                model.insert(k);
+        }
+        IntervalSet s;
+        s.assignUnion(runs);
+        ASSERT_EQ(s.sorted(), std::vector<Addr>(model.begin(), model.end()));
+        ASSERT_EQ(s.size(), model.size());
+    }
 }
 
 TEST(ShadowMemory, DefaultValueWithoutAllocation)

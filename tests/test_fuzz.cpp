@@ -135,6 +135,42 @@ TEST(DifferentialRunner, CleanOnFuzzedCases)
     EXPECT_GT(oracle_errors, 0u);
 }
 
+TEST(DifferentialRunner, CleanOnRangeChurnCases)
+{
+    // Range churn draws what the slot-based scenarios never do: ranges
+    // of several KiB, unaligned bases, and ranges past heapLimit. Its
+    // cases must pass every differential check.
+    const TraceFuzzer fuzzer{FuzzerConfig{}};
+    const DifferentialRunner runner;
+    std::size_t cases = 0;
+    std::size_t wide = 0;
+    std::size_t unaligned = 0;
+    std::size_t past_limit = 0;
+    for (std::uint64_t seed = 0; seed < 200 && cases < 12; ++seed) {
+        const FuzzCase c = fuzzer.generate(seed);
+        if (c.scenario != "range-churn")
+            continue;
+        ++cases;
+        for (const auto &program : c.programs) {
+            for (const Event &e : program) {
+                if (e.kind != EventKind::Alloc && e.kind != EventKind::Free)
+                    continue;
+                wide += e.size > 64 ? 1 : 0;
+                unaligned += e.addr % 8 != 0 ? 1 : 0;
+                past_limit += e.addr + e.size > c.heapLimit ? 1 : 0;
+            }
+        }
+        const CaseOutcome outcome = runner.run(c);
+        ASSERT_TRUE(outcome.clean())
+            << "seed " << seed << ": "
+            << outcome.violations.front().toString();
+    }
+    ASSERT_EQ(cases, 12u);
+    EXPECT_GT(wide, 0u);
+    EXPECT_GT(unaligned, 0u);
+    EXPECT_GT(past_limit, 0u);
+}
+
 TEST(DifferentialRunner, RogueCaseFlagsErrorsButStaysClean)
 {
     const DifferentialRunner runner;

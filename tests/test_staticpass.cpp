@@ -176,6 +176,54 @@ TEST(Classify, ReadOfUnallocatedMemoryIsNotPrivate)
     EXPECT_FALSE(plan.elides(s));
 }
 
+TEST(Classify, EventsBasedOutsideTheWindowCoverNothing)
+{
+    // ADDRCHECK and DEFINEDCHECK ignore an event whose base lies below
+    // heapBase even where its range reaches into the window, so neither
+    // such an Alloc nor such a Write may cover an access inside it.
+    ClassifyOptions window;
+    window.heapBase = 0x1000;
+    window.heapLimit = 0x2000;
+
+    SiteTable table;
+    const SiteId a = table.intern("a");
+    const std::vector<std::vector<Event>> alloc_below = {{
+        at(Event::alloc(0x0ff0, 64), a),
+        at(Event::write(0x1000, 8), a),
+        at(Event::read(0x1000, 8), a),
+    }};
+    EXPECT_TRUE(classifySites(alloc_below, table).elides(a));
+    EXPECT_FALSE(classifySites(alloc_below, table, window).elides(a));
+
+    const SiteId r = table.intern("r");
+    const SiteId w = table.intern("w");
+    const std::vector<std::vector<Event>> write_below = {{
+        at(Event::alloc(0x1000, 64), r),
+        at(Event::write(0x0ff8, 16), w),
+        at(Event::read(0x1000, 8), r),
+    }};
+    EXPECT_TRUE(classifySites(write_below, table).elides(r));
+    EXPECT_FALSE(classifySites(write_below, table, window).elides(r));
+}
+
+TEST(Classify, AllocIntoACellUndefinesTheWholeCell)
+{
+    // Lifeguards keep one state per 8-byte key. The second alloc starts
+    // at byte 0xe of the key holding bytes 0x8..0xf, so DEFINEDCHECK
+    // forgets that whole key: the read of bytes 0x8..0xd, written
+    // before, is undefined again and must stay monitored.
+    SiteTable table;
+    const SiteId r = table.intern("r");
+    const SiteId w = table.intern("w");
+    const std::vector<std::vector<Event>> programs = {{
+        at(Event::alloc(0x1000, 14), r),
+        at(Event::write(0x1000, 16), w),
+        at(Event::alloc(0x100e, 16), r),
+        at(Event::read(0x1008, 6), r),
+    }};
+    EXPECT_FALSE(classifySites(programs, table).elides(r));
+}
+
 TEST(Classify, CrossThreadSharingDemotesBothSites)
 {
     SiteTable table;
