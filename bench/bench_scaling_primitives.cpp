@@ -150,35 +150,42 @@ BENCHMARK(BM_ButterflyAddrCheckThroughput)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_TwoPassVsParallelPasses(benchmark::State &state)
+BM_ReferenceVsPipelined(benchmark::State &state)
 {
-    // Wall-clock effect of running the lifeguard passes on real threads
-    // (the paper's lock-free schedule, Section 4.3 "single writer").
-    const bool parallel = state.range(0) != 0;
+    // Wall-clock effect of running the lifeguard on real threads: the
+    // single-threaded reference loop vs the pipelined task graph (the
+    // paper's lock-free schedule, Section 4.3 "single writer").
+    const bool pipelined = state.range(0) != 0;
     WorkloadConfig wcfg;
     wcfg.numThreads = 8;
     wcfg.instrPerThread = 50000;
     const Workload w = makeBarnes(wcfg);
     Rng rng(7);
     const Trace trace = interleave(w.programs, InterleaveConfig{}, rng);
-    const EpochLayout layout =
-        EpochLayout::byGlobalSeq(trace, 2048 * 8);
+    const std::size_t global_h = 2048 * 8;
+    const EpochLayout layout = EpochLayout::byGlobalSeq(trace, global_h);
     AddrCheckConfig acfg;
     acfg.heapBase = w.heapBase;
     acfg.heapLimit = w.heapLimit;
 
-    // One persistent pool for the whole measurement (as Session does);
-    // per-iteration cost is batch dispatch, not thread creation.
+    // One persistent pool for the whole measurement; per-iteration cost
+    // is task dispatch, not thread creation.
     WorkerPool pool(8);
-    const WindowSchedule schedule(parallel, parallel ? &pool : nullptr);
     for (auto _ : state) {
         ButterflyAddrCheck butterfly(layout, acfg);
-        schedule.run(layout, butterfly);
+        if (pipelined) {
+            EpochStream::Config scfg;
+            scfg.globalH = global_h;
+            EpochStream stream(trace, scfg);
+            WindowSchedule(&pool).runPipelined(stream, butterfly);
+        } else {
+            WindowSchedule().run(layout, butterfly);
+        }
         benchmark::DoNotOptimize(butterfly.errors().size());
     }
-    state.SetLabel(parallel ? "parallel-passes" : "sequential-passes");
+    state.SetLabel(pipelined ? "pipelined" : "reference");
 }
-BENCHMARK(BM_TwoPassVsParallelPasses)
+BENCHMARK(BM_ReferenceVsPipelined)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);

@@ -18,10 +18,6 @@
  * positives, false negatives) is printed. Exit is nonzero on any false
  * negative — the butterfly guarantee is "no error missed".
  *
- * `--batch` selects the lifeguard's batched (columnar SoA) pass-1
- * kernels. Reports are bit-identical to the default scalar kernels;
- * only the per-block execution strategy changes.
- *
  * `--elide` runs the static elision pre-pass (src/staticpass/) first:
  * sites proven AlwaysPrivate log SiteSummary counts instead of their
  * Read/Write events. The oracle still replays the full trace, so the
@@ -62,7 +58,7 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--workload NAME] [--threads N] [--epoch H]\n"
         "          [--instr N] [--model sc|tso] [--seed S] [--verbose]\n"
-        "          [--lifeguard addrcheck|lockset|addrleak] [--batch]\n"
+        "          [--lifeguard addrcheck|lockset|addrleak]\n"
         "          [--elide] [--telemetry OUT.json] [--trace OUT.trace.json]\n"
         "       %s --workload list\n",
         argv0, argv0);
@@ -102,7 +98,7 @@ runFuzzedLifeguard(const std::string &lifeguard, std::size_t cases,
             cfg.heapBase = c.heapBase;
             cfg.heapLimit = c.heapLimit;
             ButterflyLockSet driver(layout.numThreads(), cfg);
-            WindowSchedule(false).run(layout, driver);
+            WindowSchedule().run(layout, driver);
             LockSetOracle oracle(cfg);
             oracle.runOnTrace(trace);
             acc = compareToOracle(driver.errors(), oracle.errors(),
@@ -114,7 +110,7 @@ runFuzzedLifeguard(const std::string &lifeguard, std::size_t cases,
             cfg.heapBase = c.heapBase;
             cfg.heapLimit = c.heapLimit;
             ButterflyAddrLeak driver(layout.numThreads(), cfg);
-            WindowSchedule(false).run(layout, driver);
+            WindowSchedule().run(layout, driver);
             AddrLeakOracle oracle(cfg);
             oracle.runOnTrace(trace);
             acc = compareToOracle(driver.errors(), oracle.errors(),
@@ -156,7 +152,6 @@ main(int argc, char **argv)
     MemModel model = MemModel::SequentiallyConsistent;
     std::uint64_t seed = 42;
     bool verbose = false;
-    bool batch = false;
     bool elide = false;
     std::string lifeguard = "addrcheck";
     std::string telemetry_out;
@@ -196,8 +191,6 @@ main(int argc, char **argv)
             telemetry_out = next();
         } else if (arg == "--trace") {
             trace_out = next();
-        } else if (arg == "--batch") {
-            batch = true;
         } else if (arg == "--elide") {
             elide = true;
         } else if (arg == "--verbose") {
@@ -248,7 +241,6 @@ main(int argc, char **argv)
     cfg.epochSize = epoch;
     cfg.model = model;
     cfg.interleaveSeed = seed * 7919 + 1;
-    cfg.batchMode = batch;
     cfg.elide = elide;
 
     std::printf("monitoring %s: %u threads, h=%zu, %s, ~%zu "

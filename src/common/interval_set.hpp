@@ -39,6 +39,39 @@ struct KeyRun
     bool operator==(const KeyRun &) const = default;
 };
 
+/**
+ * The keys [key_of(base), key_of(last byte)] an operation of @p size
+ * bytes at @p base touches; a size of 0 touches one byte. The last byte
+ * saturates at the top of the address space instead of wrapping, so a
+ * range that runs past 2^64 - 1 covers the keys up to the last one
+ * rather than none. Every lifeguard, oracle and report maps a byte
+ * range to keys through this helper.
+ */
+template <typename KeyOf>
+KeyRun
+keyRunOf(Addr base, std::uint64_t size, KeyOf &&key_of)
+{
+    const Addr span = size > 0 ? size - 1 : 0;
+    const Addr last = span > kNoAddr - base ? kNoAddr : base + span;
+    return KeyRun{key_of(base), key_of(last)};
+}
+
+/**
+ * Call @p fn(k) for each key of @p r, ascending. The loop stops at the
+ * last key instead of testing k <= r.hi, which never fails for a run
+ * ending at key 2^64 - 1.
+ */
+template <typename Fn>
+void
+forEachKey(const KeyRun &r, Fn &&fn)
+{
+    for (Addr k = r.lo;; ++k) {
+        fn(k);
+        if (k == r.hi)
+            return;
+    }
+}
+
 /** Value-semantic set of keys held as sorted, coalesced runs. */
 class IntervalSet
 {
@@ -283,13 +316,8 @@ class IntervalSet
     {
         std::vector<Addr> out;
         out.reserve(keys_);
-        for (const KeyRun &r : runs_) {
-            for (Addr k = r.lo;; ++k) {
-                out.push_back(k);
-                if (k == r.hi)
-                    break; // r.hi may be the last key: never step past
-            }
-        }
+        for (const KeyRun &r : runs_)
+            forEachKey(r, [&out](Addr k) { out.push_back(k); });
         return out;
     }
 

@@ -26,9 +26,7 @@ namespace {
 const char *const kLifeguardNames[] = {"ADDRCHECK",     "TAINTCHECK",
                                        "DEFINEDCHECK",  "REACHING-DEFS",
                                        "LOCKSET",       "ADDRLEAK"};
-const char *const kModeNames[] = {"sequential", "parallel",
-                                  "pipelined-layout", "pipelined-stream",
-                                  "batched"};
+const char *const kModeNames[] = {"sequential", "pipelined"};
 const char *const kInvariantNames[] = {"mode-equivalence",
                                        "oracle-subsumption",
                                        "fp-monotonicity",
@@ -174,35 +172,20 @@ struct CaseContext
 void
 drive(const CaseContext &ctx, RunMode mode, AnalysisDriver &driver)
 {
-    const std::size_t nthreads = std::max<std::size_t>(
-        1, ctx.trace.numThreads());
     switch (mode) {
       case RunMode::Sequential:
-        WindowSchedule(false).run(ctx.layout, driver);
+        WindowSchedule().run(ctx.layout, driver);
         break;
-      case RunMode::Parallel: {
-        WorkerPool pool(nthreads);
-        WindowSchedule(true, &pool).run(ctx.layout, driver);
-        break;
-      }
-      case RunMode::PipelinedLayout: {
-        WorkerPool pool(nthreads);
-        WindowSchedule(true, &pool).runPipelined(ctx.layout, driver);
-        break;
-      }
-      case RunMode::PipelinedStream: {
-        EpochStream stream(ctx.trace,
-                           EpochStream::Config{ctx.c.globalH, 4, nullptr});
-        WorkerPool pool(nthreads);
-        WindowSchedule(true, &pool).runPipelined(stream, driver);
+      case RunMode::Pipelined: {
+        // The same epochs as the layout (same globalH), sliced as the
+        // graph admits them.
+        EpochStream::Config scfg;
+        scfg.globalH = ctx.c.globalH;
+        EpochStream stream(ctx.trace, scfg);
+        WorkerPool pool(std::max<std::size_t>(1, ctx.trace.numThreads()));
+        WindowSchedule(&pool).runPipelined(stream, driver);
         break;
       }
-      case RunMode::Batched:
-        // Same barrier schedule as Sequential; only the lifeguard's
-        // pass-1 kernel changes (scalar shim for drivers without one).
-        driver.setBatchMode(true);
-        WindowSchedule(false).run(ctx.layout, driver);
-        break;
     }
 }
 
@@ -280,7 +263,7 @@ addrFalsePositivesAt(const CaseContext &ctx, std::size_t global_h,
     const EpochLayout layout =
         EpochLayout::byGlobalSeq(ctx.trace, global_h);
     ButterflyAddrCheck butterfly(layout, ctx.addrCfg);
-    WindowSchedule(false).run(layout, butterfly);
+    WindowSchedule().run(layout, butterfly);
     return compareToOracle(butterfly.errors(), oracle_log,
                            ctx.addrCfg.granularity)
         .falsePositives;
@@ -294,7 +277,7 @@ leakFalsePositivesAt(const CaseContext &ctx, std::size_t global_h,
     const EpochLayout layout =
         EpochLayout::byGlobalSeq(ctx.trace, global_h);
     ButterflyAddrLeak butterfly(layout, ctx.leakCfg);
-    WindowSchedule(false).run(layout, butterfly);
+    WindowSchedule().run(layout, butterfly);
     return compareToOracle(butterfly.errors(), oracle_log,
                            ctx.leakCfg.granularity)
         .falsePositives;
@@ -314,7 +297,7 @@ lockKeyFalsePositivesAt(const CaseContext &ctx, std::size_t global_h,
     const EpochLayout layout =
         EpochLayout::byGlobalSeq(ctx.trace, global_h);
     ButterflyLockSet butterfly(layout, ctx.lockCfg);
-    WindowSchedule(false).run(layout, butterfly);
+    WindowSchedule().run(layout, butterfly);
 
     std::size_t fp = 0;
     for (const ErrorRecord &rec : butterfly.errors().records()) {

@@ -7,11 +7,10 @@
  * Invariants checked per case:
  *
  *  - mode equivalence (Theorem-free, but the repo's own guarantee): the
- *    sequential barrier schedule, the parallel barrier schedule, the
- *    pipelined task graph over a materialized layout, and the pipelined
- *    task graph over a streaming EpochStream must produce bit-identical
- *    reports (error records, SOS, and — for the generic reaching-defs
- *    analysis — every per-epoch/per-block dataflow set);
+ *    single-threaded reference loop over a materialized layout and the
+ *    pipelined task graph over a streaming EpochStream must produce
+ *    bit-identical reports (error records, SOS, and — for the generic
+ *    reaching-defs analysis — every per-epoch/per-block dataflow set);
  *
  *  - oracle subsumption (Theorems 6.1/6.2): the butterfly lifeguard
  *    never misses an error the exact sequential oracle flags — zero
@@ -68,23 +67,13 @@ inline constexpr Lifeguard kAllLifeguards[] = {
     Lifeguard::ReachingDefs, Lifeguard::LockSet, Lifeguard::AddrLeak};
 const char *lifeguardName(Lifeguard lg);
 
-/** Scheduling modes: {sequential, parallel, pipelined} × {full-trace,
- *  EpochStream}, plus the batched-kernel execution strategy. Streaming
- *  exists only for the pipelined task graph (the barrier schedule
- *  requires a materialized layout by construction), so the scheduling
- *  matrix has four populated cells; Batched reruns the sequential
- *  barrier schedule with the lifeguard's columnar pass-1 kernels, which
- *  must be report-identical to the scalar ones. */
+/** The two schedules: the reference loop and the one parallel path. */
 enum class RunMode : std::uint8_t {
-    Sequential,      ///< barrier schedule, scheduler thread only
-    Parallel,        ///< barrier schedule, per-block worker fan-out
-    PipelinedLayout, ///< dependency task graph over the full trace
-    PipelinedStream, ///< dependency task graph over an EpochStream
-    Batched,         ///< barrier schedule, columnar (SoA) pass-1 kernels
+    Sequential, ///< reference loop over the materialized layout
+    Pipelined,  ///< dependency task graph over an EpochStream
 };
-inline constexpr RunMode kAllModes[] = {
-    RunMode::Sequential, RunMode::Parallel, RunMode::PipelinedLayout,
-    RunMode::PipelinedStream, RunMode::Batched};
+inline constexpr RunMode kAllModes[] = {RunMode::Sequential,
+                                        RunMode::Pipelined};
 /** FaultPlan::modeMask value covering every mode (1 bit per RunMode). */
 inline constexpr std::uint8_t kAllModesMask =
     (1u << std::size(kAllModes)) - 1;

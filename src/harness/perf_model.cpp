@@ -71,12 +71,8 @@ monitoredKeys(const Event &e, const AddrCheckConfig &cfg,
 {
     out.clear();
     auto push_range = [&](Addr base, std::uint16_t size) {
-        if (base == kNoAddr || !cfg.monitored(base))
-            return;
-        const Addr first = cfg.keyOf(base);
-        const Addr last = cfg.keyOf(base + (size > 0 ? size - 1 : 0));
-        for (Addr k = first; k <= last; ++k)
-            out.push_back(k);
+        if (const auto keys = cfg.keysOf(base, size))
+            forEachKey(*keys, [&out](Addr k) { out.push_back(k); });
     };
     push_range(e.addr, e.size);
     if (e.kind == EventKind::Assign) {

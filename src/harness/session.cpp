@@ -23,7 +23,6 @@ struct SessionMetrics
     telemetry::MetricId oracleErrors;
     telemetry::MetricId falsePositives;
     telemetry::MetricId falseNegatives;
-    telemetry::MetricId peakResidentEpochs;
 
     static const SessionMetrics &
     get()
@@ -40,8 +39,6 @@ struct SessionMetrics
             s.oracleErrors = r.gauge("bfly.session.oracle_errors");
             s.falsePositives = r.gauge("bfly.session.false_positives");
             s.falseNegatives = r.gauge("bfly.session.false_negatives");
-            s.peakResidentEpochs =
-                r.gauge("bfly.session.peak_resident_epochs");
             return s;
         }();
         return m;
@@ -115,30 +112,9 @@ runSession(const SessionConfig &config)
     acfg.heapLimit = workload.heapLimit;
 
     ButterflyAddrCheck butterfly(layout, acfg);
-    butterfly.setBatchMode(config.batchMode);
-    // One persistent pool per run: its threads service every pass of the
-    // schedule instead of being spawned and joined twice per epoch.
-    std::unique_ptr<WorkerPool> pool;
-    if ((config.parallelPasses || config.pipelineMode) &&
-        monitored.numThreads() > 1)
-        pool = std::make_unique<WorkerPool>(monitored.numThreads());
-    WindowSchedule schedule(config.parallelPasses, pool.get());
-    std::size_t peak_resident = 0;
     {
         telemetry::TraceSpan span("session.butterfly");
-        if (config.pipelineMode) {
-            // Streaming pipelined path: same epoch boundaries as the
-            // materialized layout, but only O(window) epochs of events
-            // resident while the task graph runs.
-            EpochStream::Config scfg;
-            scfg.globalH = config.epochSize * monitored.numThreads();
-            EpochStream stream(monitored, scfg);
-            const PipelineStats stats =
-                schedule.runPipelined(stream, butterfly);
-            peak_resident = stats.peakResidentEpochs;
-        } else {
-            schedule.run(layout, butterfly);
-        }
+        WindowSchedule().run(layout, butterfly);
     }
 
     // 4. Ground truth from the exact oracle over the true interleaving.
@@ -164,7 +140,6 @@ runSession(const SessionConfig &config)
     result.instructions = trace.instructionCount();
     result.memoryAccesses = trace.memoryAccessCount();
     result.epochs = layout.numEpochs();
-    result.peakResidentEpochs = peak_resident;
     result.butterflyErrorCount = butterfly.errors().size();
     result.oracleErrorCount = oracle.errors().size();
     result.accuracy = compareToOracle(butterfly.errors(), oracle.errors(),
@@ -197,7 +172,6 @@ runSession(const SessionConfig &config)
         reg.set(m.oracleErrors, result.oracleErrorCount);
         reg.set(m.falsePositives, result.accuracy.falsePositives);
         reg.set(m.falseNegatives, result.accuracy.falseNegatives);
-        reg.set(m.peakResidentEpochs, result.peakResidentEpochs);
     }
     return result;
 }

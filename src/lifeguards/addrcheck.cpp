@@ -43,19 +43,12 @@ struct AddrCheckTelemetry
     }
 };
 
-/** Reusable per-worker buffers for the pass-1 kernels. */
-struct Pass1Scratch
+/** The block's access ranges, reused across pass-1 calls per worker. */
+std::vector<KeyRun> &
+accessScratch()
 {
-    std::vector<KeyRun> keys;   ///< batched: a segment's key ranges
-    IntervalSet touched;        ///< batched: their union
-    std::vector<KeyRun> access; ///< the block's access ranges
-};
-
-Pass1Scratch &
-pass1Scratch()
-{
-    thread_local Pass1Scratch s;
-    return s;
+    thread_local std::vector<KeyRun> runs;
+    return runs;
 }
 
 /** Call @p fn(base) for each address access event @p e reads or writes
@@ -249,108 +242,14 @@ ButterflyAddrCheck::commitBlock(EpochId l, ThreadId t,
 }
 
 void
-ButterflyAddrCheck::finishPass1(EpochId l, ThreadId t, BlockSummary &s,
-                                std::vector<KeyRun> &access_runs,
-                                const std::vector<ErrorRecord> &local_errors,
-                                std::uint64_t checks)
-{
-    s.access.assignUnion(access_runs);
-
-    const std::uint64_t size =
-        s.genEnd.size() + s.killEnd.size() + s.access.size();
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        summarySizes_[blockKey(l, t)] = size;
-    }
-    if (telemetry::enabled()) {
-        telemetry::registry().observe(AddrCheckTelemetry::get().summarySize,
-                                      size);
-    }
-    commitBlock(l, t, local_errors, checks, 0, false);
-}
-
-void
-ButterflyAddrCheck::pass1Batched(const BlockView &block)
-{
-    const EpochId l = block.epoch;
-    const ThreadId t = block.thread;
-    BlockSummary &s = resetSlot(l, t);
-    LocalState state(*this, l, t, s);
-
-    Pass1Scratch &scratch = pass1Scratch();
-    scratch.keys.clear();
-    scratch.access.clear();
-    std::vector<ErrorRecord> local_errors;
-    std::uint64_t checks = 0;
-
-    // The accesses of a segment, the events between two alloc/free
-    // events, all see one allocation state. Their key ranges are
-    // collected, merged into runs, and one state query per run decides
-    // them all: when every touched key is allocated (the common case)
-    // none can flag. Otherwise the segment's events are walked again,
-    // op by op in program order, so records come out in scalar order
-    // (ErrorLog keeps the *first* record per event, so order is
-    // observable).
-    auto resolve = [&](std::size_t from, std::size_t to) {
-        scratch.touched.assignUnion(scratch.keys);
-        scratch.keys.clear();
-        bool clean = true;
-        for (const KeyRun &run : scratch.touched.runs()) {
-            scratch.access.push_back(run);
-            clean = clean && !state.unallocated(run);
-        }
-        for (std::size_t i = from; !clean && i < to; ++i) {
-            const Event &e = block.events[i];
-            forEachAccess(e, [&](Addr base) {
-                const auto keys = config_.keysOf(base, e.size);
-                if (keys && state.unallocated(*keys))
-                    local_errors.push_back(
-                        ErrorRecord{t, block.first + i, base,
-                                    ErrorKind::UnallocatedAccess, e.size});
-            });
-        }
-    };
-
-    std::size_t from = 0; // first event of the current segment
-    for (std::size_t i = 0; i < block.size(); ++i) {
-        const Event &e = block.events[i];
-        if (e.kind != EventKind::Alloc && e.kind != EventKind::Free) {
-            forEachAccess(e, [&](Addr base) {
-                if (const auto keys = config_.keysOf(base, e.size)) {
-                    checks += keys->keys();
-                    scratch.keys.push_back(*keys);
-                }
-            });
-            continue;
-        }
-        resolve(from, i);
-        from = i + 1;
-        if (const auto keys = config_.keysOf(e.addr, e.size)) {
-            checks += keys->keys();
-            if (const auto kind = state.change(e.kind, *keys))
-                local_errors.push_back(
-                    ErrorRecord{t, block.first + i, e.addr, *kind, e.size});
-        }
-    }
-    resolve(from, block.size());
-
-    finishPass1(l, t, s, scratch.access, local_errors, checks);
-}
-
-void
 ButterflyAddrCheck::pass1(const BlockView &block)
 {
-    if (batched_) {
-        pass1Batched(block);
-        return;
-    }
-
     const EpochId l = block.epoch;
     const ThreadId t = block.thread;
     BlockSummary &s = resetSlot(l, t);
     LocalState state(*this, l, t, s);
 
-    std::vector<KeyRun> &access = pass1Scratch().access;
+    std::vector<KeyRun> &access = accessScratch();
     access.clear();
     std::vector<ErrorRecord> local_errors;
     std::uint64_t checks = 0;
@@ -382,7 +281,19 @@ ButterflyAddrCheck::pass1(const BlockView &block)
         });
     }
 
-    finishPass1(l, t, s, access, local_errors, checks);
+    s.access.assignUnion(access);
+
+    const std::uint64_t size =
+        s.genEnd.size() + s.killEnd.size() + s.access.size();
+    {
+        std::lock_guard<std::mutex> guard(mutex_);
+        summarySizes_[blockKey(l, t)] = size;
+    }
+    if (telemetry::enabled()) {
+        telemetry::registry().observe(AddrCheckTelemetry::get().summarySize,
+                                      size);
+    }
+    commitBlock(l, t, local_errors, checks, 0, false);
 }
 
 void

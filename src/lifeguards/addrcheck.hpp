@@ -21,9 +21,9 @@
  * the test suite against both SC and TSO executions.
  *
  * Thread safety: pass1/pass2 may be invoked concurrently for different
- * blocks of the same pass (WindowSchedule's parallel mode). Per-block
- * state is disjoint; shared state (error log, counters) is committed
- * once per block under a mutex. finalizeEpoch is single-writer by design.
+ * blocks (WindowSchedule::runPipelined). Per-block state is disjoint;
+ * shared state (error log, counters) is committed once per block under a
+ * mutex. finalizeEpoch is single-writer by design.
  */
 
 #ifndef BUTTERFLY_LIFEGUARDS_ADDRCHECK_HPP
@@ -70,20 +70,16 @@ struct AddrCheckConfig
 
     /**
      * The metadata keys an operation of @p size bytes at @p base
-     * touches, or nothing if it has no address or starts outside the
-     * monitored window. The last byte saturates at the top of the
-     * address space instead of wrapping, so a range that runs past
-     * 2^64 - 1 covers the keys up to the last one rather than none.
-     * Shared by the butterfly lifeguard and the oracle.
+     * touches (keyRunOf: saturating at the top of the address space),
+     * or nothing if it has no address or starts outside the monitored
+     * window. Shared by the butterfly lifeguard and the oracle.
      */
     std::optional<KeyRun>
     keysOf(Addr base, std::uint16_t size) const
     {
         if (base == kNoAddr || !monitored(base))
             return std::nullopt;
-        const Addr span = size > 0 ? size - 1u : 0u;
-        const Addr last = span > kNoAddr - base ? kNoAddr : base + span;
-        return KeyRun{keyOf(base), keyOf(last)};
+        return keyRunOf(base, size, [this](Addr a) { return keyOf(a); });
     }
 };
 
@@ -105,18 +101,6 @@ class ButterflyAddrCheck : public AnalysisDriver
     void pass1(const BlockView &block) override;
     void pass2(const BlockView &block) override;
     void finalizeEpoch(EpochId l) override;
-
-    /**
-     * Batched pass 1: between two alloc/free events the allocation
-     * state is fixed, so the access ranges of each such segment are
-     * merged into key runs first, and one state query per run clears
-     * the whole segment when every touched key is allocated (a segment
-     * that can flag is walked again, op by op). Produces
-     * bit-identical results to the scalar walk (error records in the
-     * same order, identical summaries and counters); pass 2 and
-     * finalizeEpoch are unchanged either way.
-     */
-    void setBatchMode(bool enabled) override { batched_ = enabled; }
 
     /**
      * ADDRCHECK's pass 2 and finalize consume only pass-1 summaries —
@@ -183,19 +167,7 @@ class ButterflyAddrCheck : public AnalysisDriver
     /** Allocation state of one block during its pass 1 (see .cpp). */
     class LocalState;
 
-    /** Build ACCESS from the block's access ranges (in any order),
-     *  record the summary's size and commit errors — the shared tail of
-     *  the scalar and batched kernels. */
-    void finishPass1(EpochId l, ThreadId t, BlockSummary &s,
-                     std::vector<KeyRun> &access_runs,
-                     const std::vector<ErrorRecord> &local_errors,
-                     std::uint64_t checks);
-
-    /** The batched (segment-at-a-time) pass-1 kernel. */
-    void pass1Batched(const BlockView &block);
-
     AddrCheckConfig config_;
-    bool batched_ = false; ///< batched pass-1 kernels selected
 
     /** Ring of per-epoch, per-thread summaries. */
     std::vector<std::array<BlockSummary, kWindow>> summaries_; ///< [t]

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 
+#include "common/interval_set.hpp"
+
 namespace bfly {
 
 namespace {
 
-/** Keys of [base, base+size) that fall inside the monitored window. */
+/** Keys of [base, base+size) (keyRunOf: saturating at the top of the
+ *  address space), or none if @p base is outside the monitored window. */
 void
 keysOf(const DefCheckConfig &cfg, Addr base, std::uint16_t size,
        std::vector<Addr> &out)
@@ -14,10 +17,8 @@ keysOf(const DefCheckConfig &cfg, Addr base, std::uint16_t size,
     out.clear();
     if (base == kNoAddr || !cfg.monitored(base))
         return;
-    const Addr first = cfg.keyOf(base);
-    const Addr last = cfg.keyOf(base + (size > 0 ? size - 1 : 0));
-    for (Addr k = first; k <= last; ++k)
-        out.push_back(k);
+    forEachKey(keyRunOf(base, size, [&cfg](Addr a) { return cfg.keyOf(a); }),
+               [&out](Addr k) { out.push_back(k); });
 }
 
 /** The reaching-expressions instantiation: "key holds defined data". */

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/interval_set.hpp"
+
 namespace bfly {
 
 const char *
@@ -42,15 +44,13 @@ compareToOracle(const ErrorLog &monitored, const ErrorLog &oracle,
     }
 
     auto key_range = [&](const ErrorRecord &rec) {
-        const Addr lo = rec.addr / granularity;
-        const Addr hi =
-            (rec.addr + (rec.size > 0 ? rec.size - 1 : 0)) / granularity;
-        return std::pair<Addr, Addr>{lo, hi};
+        return keyRunOf(rec.addr, rec.size,
+                        [granularity](Addr a) { return a / granularity; });
     };
     auto overlaps = [&](const ErrorRecord &a, const ErrorRecord &b) {
-        const auto [alo, ahi] = key_range(a);
-        const auto [blo, bhi] = key_range(b);
-        return alo <= bhi && blo <= ahi;
+        const KeyRun ka = key_range(a);
+        const KeyRun kb = key_range(b);
+        return ka.lo <= kb.hi && kb.lo <= ka.hi;
     };
 
     for (const ErrorRecord &rec : oracle.records()) {

@@ -20,13 +20,7 @@ TaintCheckOracle::processOne(ThreadId tid, std::uint64_t index,
                              const Event &e)
 {
     auto set_range = [&](Addr base, std::uint16_t size, std::uint8_t v) {
-        if (base == kNoAddr)
-            return;
-        const Addr first = config_.keyOf(base);
-        const Addr last =
-            config_.keyOf(base + (size > 0 ? size - 1 : 0));
-        for (Addr k = first; k <= last; ++k)
-            taint_.set(k, v);
+        config_.forEachKeyOf(base, size, [&](Addr k) { taint_.set(k, v); });
     };
 
     switch (e.kind) {

@@ -14,6 +14,7 @@
 #ifndef BUTTERFLY_LIFEGUARDS_TAINTCHECK_ORACLE_HPP
 #define BUTTERFLY_LIFEGUARDS_TAINTCHECK_ORACLE_HPP
 
+#include "common/interval_set.hpp"
 #include "common/shadow_memory.hpp"
 #include "lifeguards/report.hpp"
 #include "trace/trace.hpp"
@@ -25,6 +26,23 @@ struct TaintCheckConfig
 {
     unsigned granularity = 4;
     Addr keyOf(Addr addr) const { return addr / granularity; }
+
+    /**
+     * Call @p fn(k) for each key an operation of @p size bytes at
+     * @p base touches (keyRunOf: saturating at the top of the address
+     * space); none if it has no address. Shared by the butterfly
+     * lifeguard and the oracle.
+     */
+    template <typename Fn>
+    void
+    forEachKeyOf(Addr base, std::uint16_t size, Fn &&fn) const
+    {
+        if (base == kNoAddr)
+            return;
+        forEachKey(keyRunOf(base, size,
+                            [this](Addr a) { return keyOf(a); }),
+                   fn);
+    }
 };
 
 /** Sequential, exact TAINTCHECK. */

@@ -5,9 +5,9 @@
  * isolationViolations, and the perf-model feeds (summed summarySize and
  * sosUpdateWork). They are pinned for the six paper kernels, shaped like
  * the box benchmark's sessions (long phases, idle spacers) at test
- * scale, and for a fixed set of fuzzer cases. Every case runs under
- * scalar and batched pass 1 and under the sequential and pipelined
- * schedules; all four must reproduce the same pinned row.
+ * scale, and for a fixed set of fuzzer cases. Every case runs under the
+ * reference loop and the pipelined schedule; both must reproduce the
+ * same pinned row.
  *
  * The rows were recorded from the per-key hash-set implementation, so a
  * change of ADDRCHECK's internal representation has to reproduce them
@@ -75,40 +75,38 @@ fnv(std::uint64_t &h, std::uint64_t v)
 struct Mode
 {
     const char *name;
-    bool batched;
     bool pipelined;
 };
 
-constexpr Mode kModes[] = {{"sequential/scalar", false, false},
-                           {"sequential/batched", true, false},
-                           {"pipelined/scalar", false, true},
-                           {"pipelined/batched", true, true}};
+constexpr Mode kModes[] = {{"sequential", false}, {"pipelined", true}};
 
 /** Run ADDRCHECK over one session in @p mode and collect its row. */
 Golden
 observe(const service::SessionSpec &spec, const Trace &trace,
         const EpochLayout &layout, const Mode &mode, WorkerPool &pool)
 {
+    // The pipelined runs stream the same epochs, cut at heartbeat
+    // markers placed on the layout's boundaries.
+    const Trace marked = withHeartbeatMarkers(trace, layout);
     Golden g{};
     g.fingerprint =
         mode.pipelined
-            ? service::analyzeStreaming(spec,
-                                        withHeartbeatMarkers(trace, layout),
-                                        pool, mode.batched)
-                  .fingerprint
-            : service::analyzeReference(spec, trace, layout, mode.batched)
-                  .fingerprint;
+            ? service::analyzeStreaming(spec, marked, pool).fingerprint
+            : service::analyzeReference(spec, trace, layout).fingerprint;
 
     AddrCheckConfig cfg;
     cfg.granularity = spec.granularity;
     cfg.heapBase = spec.heapBase;
     cfg.heapLimit = spec.heapLimit;
     ButterflyAddrCheck check(layout, cfg);
-    check.setBatchMode(mode.batched);
-    if (mode.pipelined)
-        WindowSchedule(true, &pool).runPipelined(layout, check);
-    else
-        WindowSchedule(false).run(layout, check);
+    if (mode.pipelined) {
+        EpochStream::Config scfg;
+        scfg.fromHeartbeats = true;
+        EpochStream stream(marked, scfg);
+        WindowSchedule(&pool).runPipelined(stream, check);
+    } else {
+        WindowSchedule().run(layout, check);
+    }
 
     g.order = 0xcbf29ce484222325ull;
     for (const ErrorRecord &r : check.errors().records()) {

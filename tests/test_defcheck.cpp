@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "butterfly/window.hpp"
+#include "common/interval_set.hpp"
 #include "lifeguards/defcheck.hpp"
 #include "memmodel/interleaver.hpp"
 #include "tests/helpers.hpp"
@@ -55,6 +56,52 @@ TEST(DefCheck, ReadOfFreshAllocationFlagged)
     EXPECT_EQ(run.check->errors().records()[0].kind,
               ErrorKind::UninitializedRead);
     EXPECT_EQ(run.check->errors().records()[0].index, 1u);
+}
+
+TEST(DefCheck, RangesAtTheTopOfTheAddressSpace)
+{
+    // A Write whose last byte is exactly 2^64 - 1, and one that runs
+    // past it (saturating there), at granularities 1 and 8. Before the
+    // shared saturating helper, the first looped forever at granularity
+    // 1 and the second wrapped and covered no keys.
+    struct TopRange
+    {
+        unsigned granularity;
+        Addr base;
+        std::uint16_t size;
+        std::uint64_t keys;
+    };
+    const TopRange ranges[] = {{1, kNoAddr - 1, 2, 2},
+                               {1, kNoAddr - 3, 16, 4},
+                               {8, kNoAddr - 15, 16, 2},
+                               {8, kNoAddr - 3, 16, 1}};
+    for (const TopRange &r : ranges) {
+        DefCheckConfig cfg = wideConfig();
+        cfg.granularity = r.granularity;
+        const Addr below = (cfg.keyOf(r.base) - 1) * r.granularity;
+        auto run = runDefCheck(test::traceOf({{
+                                   Event::write(r.base, r.size),
+                                   Event::read(r.base, 1), // defined
+                                   Event::read(below, 1),  // not
+                               }}),
+                               cfg);
+        DefCheckOracle oracle(cfg);
+        oracle.runOnTrace(run.trace);
+
+        std::uint64_t oracle_keys = 0;
+        forEachKey(KeyRun{cfg.keyOf(below), cfg.keyOf(kNoAddr)},
+                   [&](Addr k) {
+                       oracle_keys += oracle.defined(k * r.granularity);
+                   });
+        EXPECT_EQ(run.check->analysis().genEpoch(0).size(), r.keys)
+            << "granularity " << r.granularity << " base " << r.base;
+        EXPECT_EQ(oracle_keys, r.keys)
+            << "granularity " << r.granularity << " base " << r.base;
+        ASSERT_EQ(run.check->errors().size(), 1u);
+        EXPECT_EQ(run.check->errors().records()[0].index, 2u);
+        ASSERT_EQ(oracle.errors().size(), 1u);
+        EXPECT_EQ(oracle.errors().records()[0].index, 2u);
+    }
 }
 
 TEST(DefCheck, ReallocationClobbersDefinedness)

@@ -16,6 +16,7 @@
 #include "src/fuzz/minimizer.hpp"
 #include "src/fuzz/trace_fuzzer.hpp"
 #include "src/service/analyzer.hpp"
+#include "src/trace/log_codec.hpp"
 
 using namespace bfly;
 using namespace bfly::fuzz;
@@ -187,7 +188,7 @@ TEST(DifferentialRunner, InjectedModeDependentBugBreaksEquivalence)
     cfg.fault.target = Lifeguard::AddrCheck;
     cfg.fault.dropKind = ErrorKind::UnallocatedAccess;
     cfg.fault.modeMask =
-        1u << static_cast<unsigned>(RunMode::Parallel);
+        1u << static_cast<unsigned>(RunMode::Pipelined);
     const DifferentialRunner runner(cfg);
 
     const CaseOutcome outcome = runner.run(rogueCase(16));
@@ -196,7 +197,7 @@ TEST(DifferentialRunner, InjectedModeDependentBugBreaksEquivalence)
     for (const Violation &v : outcome.violations)
         saw = saw || (v.invariant == Invariant::ModeEquivalence &&
                       v.lifeguard == Lifeguard::AddrCheck &&
-                      v.mode == RunMode::Parallel);
+                      v.mode == RunMode::Pipelined);
     EXPECT_TRUE(saw) << outcome.violations.front().toString();
 }
 
@@ -355,24 +356,24 @@ TEST(Corpus, SaveLoadRoundTripsThroughDisk)
     std::filesystem::remove(path);
 }
 
-TEST(CorpusReplay, ModeMatrixIncludesBatched)
+TEST(CorpusReplay, ModeMatrixIncludesPipelined)
 {
-    // The checked-in corpus is only a Batched regression gate if the
-    // runner's mode matrix actually executes Batched: a fault injected
-    // into Batched alone must surface as a mode-equivalence violation
-    // attributed to that mode.
+    // The checked-in corpus is only a regression gate for the pipelined
+    // schedule if the runner's mode matrix actually executes it: a fault
+    // injected into Pipelined alone must surface as a mode-equivalence
+    // violation attributed to that mode.
     RunnerConfig cfg;
     cfg.fault.enabled = true;
     cfg.fault.target = Lifeguard::AddrCheck;
     cfg.fault.dropKind = ErrorKind::UnallocatedAccess;
-    cfg.fault.modeMask = 1u << static_cast<unsigned>(RunMode::Batched);
+    cfg.fault.modeMask = 1u << static_cast<unsigned>(RunMode::Pipelined);
     const DifferentialRunner runner(cfg);
     const CaseOutcome outcome = runner.run(rogueCase(16));
     ASSERT_FALSE(outcome.clean());
     bool saw = false;
     for (const Violation &v : outcome.violations)
         saw = saw || (v.invariant == Invariant::ModeEquivalence &&
-                      v.mode == RunMode::Batched);
+                      v.mode == RunMode::Pipelined);
     EXPECT_TRUE(saw) << outcome.violations.front().toString();
 }
 
@@ -392,20 +393,22 @@ TEST(CorpusReplay, CheckedInReprosStayClean)
     }
 }
 
-TEST(CorpusReplay, BatchedKernelsMatchScalarOnEveryRepro)
+TEST(CorpusReplay, StreamingAnalyzerMatchesReferenceOnEveryRepro)
 {
-    // Second Batched gate, independent of the runner's internals: every
-    // checked-in repro, run through the service's reference analyzer,
-    // must produce a bit-identical report with the columnar (batch)
-    // pass-1 kernels and the scalar ones, for all six lifeguards. This
-    // is the exact agreement MuxConfig::batchMode relies on.
+    // A gate on the service path, independent of the runner's
+    // internals: every checked-in repro, heartbeat-marked on its layout's
+    // boundaries and run through the server's streaming analyzer, must
+    // produce a report bit-identical to the client's reference, for all
+    // six lifeguards.
     const std::vector<std::string> files = listCorpus(BFLY_CORPUS_DIR);
     ASSERT_FALSE(files.empty());
+    WorkerPool pool(2);
     for (const std::string &path : files) {
         const FuzzCase c = loadRepro(path);
         const Trace trace = c.materialize();
         const EpochLayout layout =
             EpochLayout::byGlobalSeq(trace, c.globalH);
+        const Trace marked = withHeartbeatMarkers(trace, layout);
         for (int lg = 0; lg < 6; ++lg) {
             service::SessionSpec spec;
             spec.lifeguard = static_cast<std::uint8_t>(lg);
@@ -415,13 +418,13 @@ TEST(CorpusReplay, BatchedKernelsMatchScalarOnEveryRepro)
             spec.granularity = lg == 1 || lg == 5 ? 4 : 8;
             spec.heapBase = c.heapBase;
             spec.heapLimit = c.heapLimit;
-            const service::RemoteReport scalar =
-                service::analyzeReference(spec, trace, layout, false);
-            const service::RemoteReport batched =
-                service::analyzeReference(spec, trace, layout, true);
-            EXPECT_TRUE(batched.identical(scalar))
+            const service::RemoteReport reference =
+                service::analyzeReference(spec, trace, layout);
+            const service::RemoteReport streamed =
+                service::analyzeStreaming(spec, marked, pool);
+            EXPECT_TRUE(streamed.identical(reference))
                 << path << " lifeguard " << lg
-                << ": columnar kernels diverged from scalar";
+                << ": streaming analyzer diverged from the reference";
         }
     }
 }

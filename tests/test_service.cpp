@@ -33,6 +33,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/log_codec.hpp"
+#include "tests/helpers.hpp"
 
 namespace bfly::service {
 namespace {
@@ -605,39 +606,29 @@ TEST(SessionMuxTest, ChargesDecodedEventsAtPinnedEventSize)
     EXPECT_EQ(mux.globalBytes(), 0u) << "budget leaked on completion";
 }
 
-TEST(SessionMuxTest, BatchModeAgreesWithScalarAccountingAndReport)
-{
-    // Agreement test for the per-batch byte charging: the decoded-event
-    // charge is one decodedEventBytes() call per chunk, so a batched
-    // mux (columnar pass-1 kernels) and a scalar mux must agree on
-    // both the report fingerprint and every byte-accounting observable.
-    ASSERT_EQ(SessionMux::decodedEventBytes(7), 7u * sizeof(Event));
+// ---------------------------------------------------------------- loopback
 
-    const Addr heap = 0x400000;
-    const Trace marked = makeMarkedTrace(2, 4, 48, heap);
-    const SessionSpec spec = addrcheckSpec(marked, heap);
+TEST(Analyzer, TaintCheckRangeEndingAtTheLastByteCompletes)
+{
+    // SessionOpen accepts granularity 1, so a client can send a TaintSrc
+    // whose last byte is 2^64 - 1. The server's streaming analysis must
+    // finish and agree with the reference.
+    const Trace trace = test::traceOf(
+        {{Event::taintSrc(kNoAddr - 1, 2), Event::heartbeat(),
+          Event::use(kNoAddr - 1)},
+         {Event::nop(), Event::heartbeat(), Event::nop()}});
+    SessionSpec spec;
+    spec.lifeguard = static_cast<std::uint8_t>(Lifeguard::TaintCheck);
+    spec.numThreads = static_cast<std::uint32_t>(trace.numThreads());
+    spec.granularity = 1;
 
     WorkerPool pool(2);
-    MuxConfig scalar_cfg;
-    SessionMux scalar_mux(pool, scalar_cfg, [] {});
-    MuxConfig batch_cfg;
-    batch_cfg.batchMode = true;
-    SessionMux batch_mux(pool, batch_cfg, [] {});
-
-    const MuxRun scalar_run =
-        runThroughMux(scalar_mux, spec, marked, 64);
-    const MuxRun batch_run = runThroughMux(batch_mux, spec, marked, 64);
-    ASSERT_TRUE(scalar_run.completed && !scalar_run.result.failed);
-    ASSERT_TRUE(batch_run.completed && !batch_run.result.failed);
-
-    EXPECT_TRUE(batch_run.result.report.identical(scalar_run.result
-                                                      .report))
-        << "batch mode changed the report";
-    EXPECT_EQ(scalar_mux.globalBytes(), 0u) << "scalar budget leaked";
-    EXPECT_EQ(batch_mux.globalBytes(), 0u) << "batched budget leaked";
+    const RemoteReport streamed = analyzeStreaming(spec, trace, pool);
+    EXPECT_TRUE(streamed.identical(referenceFor(spec, trace)));
+    ASSERT_EQ(streamed.records.size(), 1u);
+    EXPECT_EQ(streamed.records[0].kind, ErrorKind::TaintedUse);
+    EXPECT_EQ(streamed.sos, (std::vector<Addr>{kNoAddr - 1, kNoAddr}));
 }
-
-// ---------------------------------------------------------------- loopback
 
 TEST(MonitorService, LoopbackConformanceAcrossLifeguards)
 {

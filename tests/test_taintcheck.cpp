@@ -204,6 +204,52 @@ TEST(TaintCheck, TwoPhaseResolutionTaintsAcrossThreeEpochs)
     EXPECT_EQ(run.check->errors().size(), 1u);
 }
 
+/** A byte range near the top of the address space and the keys it
+ *  covers at one granularity. */
+struct TopRange
+{
+    unsigned granularity;
+    Addr base;
+    std::uint16_t size;
+    std::uint64_t keys;
+};
+
+/** The last byte is exactly 2^64 - 1, or the range runs past it (and
+ *  saturates there), at granularities 1 and 8. Before the shared
+ *  saturating helper, the first kind looped forever at granularity 1 and
+ *  the second wrapped and covered no keys. */
+constexpr TopRange kTopRanges[] = {
+    {1, kNoAddr - 1, 2, 2},  {1, kNoAddr - 3, 16, 4},
+    {8, kNoAddr - 15, 16, 2}, {8, kNoAddr - 3, 16, 1}};
+
+TEST(TaintCheck, RangesAtTheTopOfTheAddressSpace)
+{
+    for (const TopRange &r : kTopRanges) {
+        TaintCheckConfig cfg;
+        cfg.granularity = r.granularity;
+        const Trace trace = test::traceOf(
+            {{Event::taintSrc(r.base, r.size), Event::use(r.base)}});
+        const EpochLayout layout = EpochLayout::fromHeartbeats(trace);
+        ButterflyTaintCheck check(layout, cfg);
+        WindowSchedule().run(layout, check);
+        TaintCheckOracle oracle(cfg);
+        oracle.runOnTrace(trace);
+
+        // Probe from the key below the range to the last key.
+        std::uint64_t oracle_keys = 0;
+        forEachKey(KeyRun{cfg.keyOf(r.base) - 1, cfg.keyOf(kNoAddr)},
+                   [&](Addr k) {
+                       oracle_keys += oracle.tainted(k * r.granularity);
+                   });
+        EXPECT_EQ(check.sosNow().size(), r.keys)
+            << "granularity " << r.granularity << " base " << r.base;
+        EXPECT_EQ(oracle_keys, r.keys)
+            << "granularity " << r.granularity << " base " << r.base;
+        EXPECT_EQ(check.errors().size(), 1u);
+        EXPECT_EQ(oracle.errors().size(), 1u);
+    }
+}
+
 TEST(TaintCheckOracle, ExactReplayFlagsOnlyRealTaint)
 {
     Trace trace = test::traceOf({
@@ -284,57 +330,6 @@ taintCases()
 
 INSTANTIATE_TEST_SUITE_P(Sweep, TaintZeroFn,
                          ::testing::ValuesIn(taintCases()));
-
-TEST(TaintCheck, BatchedKernelBitIdenticalToScalar)
-{
-    // The columnar pass-1 kernel rebuilds the same rule vector in the
-    // same order and the same per-key index lists (ascending — pass 2's
-    // resolution budget makes traversal order observable). Reports,
-    // counters, and SOS must match the scalar walk bit for bit under
-    // both termination conditions.
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
-        for (TaintTermination term :
-             {TaintTermination::SequentialConsistency,
-              TaintTermination::Relaxed}) {
-            WorkloadConfig wcfg;
-            wcfg.numThreads = 3;
-            wcfg.instrPerThread = 600;
-            wcfg.seed = seed;
-            Workload w = makeTaintMix(wcfg);
-            Rng bug_rng(seed ^ 0xf00d);
-            injectBugs(w, BugKind::TaintedJump, 3, bug_rng);
-
-            Rng rng(seed * 131 + 17);
-            InterleaveConfig icfg;
-            icfg.model = term == TaintTermination::Relaxed
-                             ? MemModel::TSO
-                             : MemModel::SequentiallyConsistent;
-            Trace trace = interleave(w.programs, icfg, rng);
-            EpochLayout layout =
-                EpochLayout::byGlobalSeq(trace, 80 * wcfg.numThreads);
-
-            ButterflyTaintCheck scalar(layout, cfg8(), term);
-            WindowSchedule(false).run(layout, scalar);
-            ButterflyTaintCheck batched(layout, cfg8(), term);
-            batched.setBatchMode(true);
-            WindowSchedule(false).run(layout, batched);
-
-            const auto &sr = scalar.errors().records();
-            const auto &br = batched.errors().records();
-            ASSERT_EQ(sr.size(), br.size()) << "seed " << seed;
-            for (std::size_t i = 0; i < sr.size(); ++i) {
-                EXPECT_EQ(sr[i].tid, br[i].tid) << "record " << i;
-                EXPECT_EQ(sr[i].index, br[i].index) << "record " << i;
-                EXPECT_EQ(sr[i].addr, br[i].addr) << "record " << i;
-                EXPECT_EQ(sr[i].kind, br[i].kind) << "record " << i;
-            }
-            EXPECT_EQ(scalar.checksResolved(),
-                      batched.checksResolved());
-            EXPECT_EQ(scalar.sosNow().sorted(),
-                      batched.sosNow().sorted());
-        }
-    }
-}
 
 // --------------------------------------------------------------------
 // Regressions: wing-visibility subtleties found by exhaustive search.

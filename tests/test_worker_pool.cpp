@@ -1,43 +1,44 @@
 /**
  * @file
- * WorkerPool unit tests plus the parallel-pass determinism regression
- * suite: for every lifeguard, running the butterfly schedule over the
- * persistent pool must produce results identical to the sequential
- * schedule — the paper's "no synchronization on metadata" claim as an
- * executable check.
+ * WorkerPool unit tests: every task submitted into a TaskGroup runs
+ * exactly once, waitGroup returns only when its group drained, and
+ * concurrent groups on one pool complete independently — the protocol
+ * the pipelined window schedule and the monitoring service run on.
  */
 
-#include <algorithm>
 #include <atomic>
-#include <tuple>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "butterfly/window.hpp"
 #include "common/rng.hpp"
 #include "common/worker_pool.hpp"
-#include "harness/session.hpp"
-#include "lifeguards/addrcheck.hpp"
-#include "lifeguards/defcheck.hpp"
-#include "lifeguards/taintcheck.hpp"
-#include "memmodel/interleaver.hpp"
-#include "workloads/bugs.hpp"
-#include "workloads/workload.hpp"
 
 namespace bfly {
 namespace {
 
-// --------------------------------------------------------------------
-// Pool mechanics.
-// --------------------------------------------------------------------
+/** Submit fn(i) for i in [0, n) into a fresh group and wait for it. */
+template <typename Fn>
+void
+runAll(WorkerPool &pool, std::size_t n, Fn fn)
+{
+    TaskGroup group;
+    for (std::size_t i = 0; i < n; ++i)
+        pool.submitTask(
+            group,
+            [](void *ctx, std::size_t i) { (*static_cast<Fn *>(ctx))(i); },
+            &fn, i);
+    pool.waitGroup(group);
+    EXPECT_EQ(group.outstanding(), 0u);
+}
 
 TEST(WorkerPool, RunsEveryItemExactlyOnce)
 {
     WorkerPool pool(4);
     const std::size_t n = 97;
     std::vector<std::atomic<int>> counts(n);
-    pool.run(n, [&](std::size_t i) {
+    runAll(pool, n, [&](std::size_t i) {
         counts[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t i = 0; i < n; ++i)
@@ -49,7 +50,7 @@ TEST(WorkerPool, BatchLargerThanWorkerCount)
     WorkerPool pool(2);
     const std::size_t n = 1000;
     std::atomic<std::uint64_t> sum{0};
-    pool.run(n, [&](std::size_t i) {
+    runAll(pool, n, [&](std::size_t i) {
         sum.fetch_add(i + 1, std::memory_order_relaxed);
     });
     EXPECT_EQ(sum.load(), n * (n + 1) / 2);
@@ -59,7 +60,7 @@ TEST(WorkerPool, ZeroCountIsANoOp)
 {
     WorkerPool pool(3);
     bool ran = false;
-    pool.run(0, [&](std::size_t) { ran = true; });
+    runAll(pool, 0, [&](std::size_t) { ran = true; });
     EXPECT_FALSE(ran);
 }
 
@@ -67,7 +68,7 @@ TEST(WorkerPool, SingleWorkerPool)
 {
     WorkerPool pool(1);
     std::atomic<int> count{0};
-    pool.run(17, [&](std::size_t) {
+    runAll(pool, 17, [&](std::size_t) {
         count.fetch_add(1, std::memory_order_relaxed);
     });
     EXPECT_EQ(count.load(), 17);
@@ -75,15 +76,15 @@ TEST(WorkerPool, SingleWorkerPool)
 
 TEST(WorkerPool, ReusedAcrossManyBatches)
 {
-    // Exercises the monotonic-ticket slack logic: a straggler finishing
-    // its losing fetch-add from batch k must not consume an item of
-    // batch k+1.
+    // Many short rounds on one pool: a straggler finishing a task of
+    // round k must never be counted against, or run an item of, round
+    // k+1.
     WorkerPool pool(4);
     Rng rng(7);
     for (int round = 0; round < 500; ++round) {
         const std::size_t n = 1 + rng.below(13);
         std::vector<std::atomic<int>> counts(n);
-        pool.run(n, [&](std::size_t i) {
+        runAll(pool, n, [&](std::size_t i) {
             counts[i].fetch_add(1, std::memory_order_relaxed);
         });
         for (std::size_t i = 0; i < n; ++i)
@@ -92,153 +93,32 @@ TEST(WorkerPool, ReusedAcrossManyBatches)
     }
 }
 
+TEST(WorkerPool, ConcurrentGroupsDrainIndependently)
+{
+    // Two drivers share one pool, as the service's sessions do: each
+    // waits on its own group and sees exactly its own tasks finished.
+    WorkerPool pool(3);
+    std::atomic<int> counts[2] = {0, 0};
+    auto driver = [&](int which) {
+        for (int round = 0; round < 100; ++round) {
+            const int before = counts[which].load();
+            runAll(pool, 8, [&](std::size_t) {
+                counts[which].fetch_add(1, std::memory_order_relaxed);
+            });
+            ASSERT_EQ(counts[which].load(), before + 8);
+        }
+    };
+    std::thread other(driver, 1);
+    driver(0);
+    other.join();
+    EXPECT_EQ(counts[0].load(), 800);
+    EXPECT_EQ(counts[1].load(), 800);
+}
+
 TEST(WorkerPool, DefaultSizePicksHardwareConcurrency)
 {
     WorkerPool pool;
     EXPECT_GE(pool.workers(), 1u);
-}
-
-// --------------------------------------------------------------------
-// Determinism: pool-parallel passes == sequential passes, per lifeguard.
-// --------------------------------------------------------------------
-
-/** Error records as comparable tuples, sorted (parallel commit order of
- *  *distinct* events is nondeterministic; the set of them is not). */
-std::vector<std::tuple<ThreadId, std::uint64_t, Addr, int, std::uint16_t>>
-sortedRecords(const ErrorLog &log)
-{
-    std::vector<std::tuple<ThreadId, std::uint64_t, Addr, int,
-                           std::uint16_t>>
-        out;
-    out.reserve(log.size());
-    for (const ErrorRecord &r : log.records())
-        out.emplace_back(r.tid, r.index, r.addr, static_cast<int>(r.kind),
-                         r.size);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-Trace
-mixTrace(std::uint64_t seed, Workload &w_out)
-{
-    WorkloadConfig wcfg;
-    wcfg.numThreads = 4;
-    wcfg.instrPerThread = 2000;
-    wcfg.seed = seed;
-    w_out = makeRandomMix(wcfg);
-    Rng rng(seed * 977 + 5);
-    return interleave(w_out.programs, InterleaveConfig{}, rng);
-}
-
-TEST(PoolDeterminism, AddrCheckMatchesSequentialAcrossSeeds)
-{
-    for (std::uint64_t seed : {11u, 22u, 33u}) {
-        Workload w;
-        const Trace trace = mixTrace(seed, w);
-        const EpochLayout layout = EpochLayout::byGlobalSeq(trace, 512);
-
-        AddrCheckConfig cfg;
-        cfg.heapBase = w.heapBase;
-        cfg.heapLimit = w.heapLimit;
-
-        ButterflyAddrCheck seq(layout, cfg);
-        WindowSchedule(false).run(layout, seq);
-
-        WorkerPool pool(layout.numThreads());
-        ButterflyAddrCheck par(layout, cfg);
-        WindowSchedule(true, &pool).run(layout, par);
-
-        EXPECT_EQ(sortedRecords(seq.errors()), sortedRecords(par.errors()))
-            << "seed " << seed;
-        EXPECT_EQ(seq.eventsChecked(), par.eventsChecked());
-        EXPECT_EQ(seq.sosNow().sorted(), par.sosNow().sorted());
-    }
-}
-
-TEST(PoolDeterminism, TaintCheckMatchesSequentialAcrossSeeds)
-{
-    for (std::uint64_t seed : {5u, 6u, 7u}) {
-        WorkloadConfig wcfg;
-        wcfg.numThreads = 3;
-        wcfg.instrPerThread = 600;
-        wcfg.seed = seed;
-        Workload w = makeTaintMix(wcfg);
-        Rng bug_rng(seed ^ 0xf00d);
-        injectBugs(w, BugKind::TaintedJump, 3, bug_rng);
-
-        Rng rng(seed * 131 + 17);
-        const Trace trace = interleave(w.programs, InterleaveConfig{}, rng);
-        const EpochLayout layout = EpochLayout::byGlobalSeq(trace, 240);
-
-        TaintCheckConfig cfg;
-        ButterflyTaintCheck seq(layout, cfg);
-        WindowSchedule(false).run(layout, seq);
-
-        WorkerPool pool(layout.numThreads());
-        ButterflyTaintCheck par(layout, cfg);
-        WindowSchedule(true, &pool).run(layout, par);
-
-        EXPECT_EQ(sortedRecords(seq.errors()), sortedRecords(par.errors()))
-            << "seed " << seed;
-        EXPECT_EQ(seq.checksResolved(), par.checksResolved());
-        EXPECT_EQ(seq.sosNow().sorted(), par.sosNow().sorted());
-    }
-}
-
-TEST(PoolDeterminism, DefCheckMatchesSequentialAcrossSeeds)
-{
-    for (std::uint64_t seed : {101u, 102u, 103u}) {
-        Workload w;
-        const Trace trace = mixTrace(seed, w);
-        const EpochLayout layout = EpochLayout::byGlobalSeq(trace, 512);
-
-        DefCheckConfig cfg;
-        cfg.heapBase = w.heapBase;
-        cfg.heapLimit = w.heapLimit;
-
-        ButterflyDefCheck seq(layout, cfg);
-        WindowSchedule(false).run(layout, seq);
-
-        WorkerPool pool(layout.numThreads());
-        ButterflyDefCheck par(layout, cfg);
-        WindowSchedule(true, &pool).run(layout, par);
-
-        EXPECT_EQ(sortedRecords(seq.errors()), sortedRecords(par.errors()))
-            << "seed " << seed;
-    }
-}
-
-TEST(PoolDeterminism, SessionResultsIdenticalAcrossSeeds)
-{
-    // The full harness: SessionResult aggregates must be bit-identical
-    // between the sequential schedule and the pool-parallel one.
-    for (std::uint64_t seed : {1u, 2u, 3u}) {
-        SessionConfig cfg;
-        cfg.factory = makeRandomMix;
-        cfg.workload.numThreads = 4;
-        cfg.workload.instrPerThread = 3000;
-        cfg.workload.seed = seed;
-        cfg.epochSize = 256;
-
-        cfg.parallelPasses = false;
-        const SessionResult seq = runSession(cfg);
-        cfg.parallelPasses = true;
-        const SessionResult par = runSession(cfg);
-
-        EXPECT_EQ(seq.butterflyErrorCount, par.butterflyErrorCount);
-        EXPECT_EQ(seq.oracleErrorCount, par.oracleErrorCount);
-        EXPECT_EQ(seq.accuracy.truePositives, par.accuracy.truePositives);
-        EXPECT_EQ(seq.accuracy.falsePositives,
-                  par.accuracy.falsePositives);
-        EXPECT_EQ(seq.accuracy.falseNegatives,
-                  par.accuracy.falseNegatives);
-        EXPECT_EQ(seq.falsePositiveRate, par.falsePositiveRate);
-        EXPECT_EQ(seq.perf.sequentialBaseline, par.perf.sequentialBaseline);
-        EXPECT_EQ(seq.perf.butterfly.normalized,
-                  par.perf.butterfly.normalized);
-        EXPECT_EQ(seq.perf.timesliced.normalized,
-                  par.perf.timesliced.normalized);
-    }
 }
 
 } // namespace
