@@ -173,6 +173,7 @@ struct Summary
     std::size_t oracleErrors = 0;
     std::size_t falsePositives = 0;
     std::size_t violations = 0;
+    std::size_t taintFallbacks = 0; ///< TAINTCHECK budget fallbacks
     std::size_t elidedEvents = 0;  ///< --elision: events elided
     std::size_t summaryEvents = 0; ///< --elision: summaries emitted
     double elapsedSec = 0;
@@ -212,6 +213,7 @@ struct Summary
            << "  \"oracle_errors\": " << oracleErrors << ",\n"
            << "  \"false_positives\": " << falsePositives << ",\n"
            << "  \"violations\": " << violations << ",\n"
+           << "  \"taint_fallbacks\": " << taintFallbacks << ",\n"
            << "  \"elided_events\": " << elidedEvents << ",\n"
            << "  \"summary_events\": " << summaryEvents << ",\n"
            << "  \"elapsed_sec\": " << elapsedSec << ",\n"
@@ -294,6 +296,7 @@ replayCorpus(const Options &opt)
         summary.oracleErrors += outcome.oracleErrors;
         summary.falsePositives += outcome.falsePositives;
         summary.violations += outcome.violations.size();
+        summary.taintFallbacks += outcome.taintFallbacks;
         summary.elidedEvents += outcome.elidedEvents;
         summary.summaryEvents += outcome.summaryEvents;
         if (!outcome.clean()) {
@@ -407,6 +410,7 @@ main(int argc, char **argv)
         summary.oracleErrors += outcome.oracleErrors;
         summary.falsePositives += outcome.falsePositives;
         summary.violations += outcome.violations.size();
+        summary.taintFallbacks += outcome.taintFallbacks;
         summary.elidedEvents += outcome.elidedEvents;
         summary.summaryEvents += outcome.summaryEvents;
 
@@ -434,6 +438,8 @@ main(int argc, char **argv)
     std::cout << "fuzz_cli: done: " << summary.cases << " cases, "
               << summary.events << " events in " << summary.elapsedSec
               << "s; " << summary.violations << " violations\n";
+    std::cout << "fuzz_cli: taintcheck: " << summary.taintFallbacks
+              << " checks over their work budget (reported tainted)\n";
     if (opt.elision)
         std::cout << "fuzz_cli: elision: " << summary.elidedEvents
                   << " events elided into " << summary.summaryEvents

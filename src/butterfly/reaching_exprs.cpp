@@ -42,57 +42,26 @@ ReachingExpressions::beginPass(EpochId l, bool second)
         blocks_[l].resize(numThreads_);
 }
 
-bool
-ReachingExpressions::inGenSpan(ExprId e, EpochId l, ThreadId t) const
-{
-    // GEN_{(l-1,l),t} = (GEN_{l-1,t} - KILL_{l,t}) U GEN_{l,t}
-    const BlockResults &cur = priv(l, t).res;
-    if (cur.gen.contains(e))
-        return true;
-    if (l >= 1 && priv(l - 1, t).res.gen.contains(e) &&
-        !cur.kill.contains(e)) {
-        return true;
-    }
-    return false;
-}
-
-bool
-ReachingExpressions::inNotKillSpan(ExprId e, EpochId l, ThreadId t) const
-{
-    if (l >= 1 && priv(l - 1, t).res.kill.contains(e))
-        return false;
-    if (priv(l, t).res.kill.contains(e))
-        return false;
-    return true;
-}
-
 ExprSet
 ReachingExpressions::computeLsos(EpochId l, ThreadId t) const
 {
     // LSOS_{l,t} = (GEN_{l-1,t} - U_{t'!=t} KILL_{l-2,t'})
     //              U (SOS_l - KILL_{l-1,t})
-    ExprSet lsos;
     ensure(l < sos_.size(), "SOS not available for requested epoch");
     if (l == 0)
-        return lsos;
+        return {};
 
     const BlockResults &head = priv(l - 1, t).res;
-
-    for (ExprId e : head.gen) {
-        bool killed_by_l2 = false;
-        if (l >= 2) {
-            for (ThreadId u = 0; u < numThreads_ && !killed_by_l2; ++u) {
-                if (u != t && priv(l - 2, u).res.kill.contains(e))
-                    killed_by_l2 = true;
-            }
+    ExprSet lsos = head.gen;
+    if (l >= 2) {
+        for (ThreadId u = 0; u < numThreads_ && !lsos.empty(); ++u) {
+            if (u != t)
+                lsos.subtract(priv(l - 2, u).res.kill);
         }
-        if (!killed_by_l2)
-            lsos.insert(e);
     }
-    for (ExprId e : sos_[l]) {
-        if (!head.kill.contains(e))
-            lsos.insert(e);
-    }
+    ExprSet carried = sos_[l];
+    carried.subtract(head.kill);
+    lsos.unionWith(carried);
     return lsos;
 }
 
@@ -105,26 +74,25 @@ ReachingExpressions::pass1(const BlockView &block)
 
     // Sequential GEN/KILL over the block: an expression is generated
     // (killed) at block end if its last effect in the block is a gen
-    // (kill). KILL-SIDE-OUT accumulates every kill regardless of position.
-    ExprSet gen, kill, kso;
+    // (kill), so GEN and KILL stay disjoint. KILL-SIDE-OUT accumulates
+    // every kill regardless of position.
+    ExprSet &gen = bp.res.gen;
+    ExprSet &kill = bp.res.kill;
     for (InstrOffset i = 0; i < block.size(); ++i) {
-        ExprEffect eff = effects_(block.events[i]);
-        if (eff.gens.empty() && eff.kills.empty())
+        const std::optional<ExprEffect> eff = effects_(block.events[i]);
+        if (!eff)
             continue;
-        for (ExprId e : eff.kills) {
-            kill.insert(e);
-            gen.erase(e);
-            kso.insert(e);
+        const KeyRun &r = eff->run;
+        if (eff->gen) {
+            gen.insert(r.lo, r.hi);
+            kill.erase(r.lo, r.hi);
+        } else {
+            kill.insert(r.lo, r.hi);
+            gen.erase(r.lo, r.hi);
+            bp.res.killSideOut.insert(r.lo, r.hi);
         }
-        for (ExprId e : eff.gens) {
-            gen.insert(e);
-            kill.erase(e);
-        }
-        bp.effects.emplace_back(i, std::move(eff));
+        bp.effects.push_back(OffsetEffect{i, *eff});
     }
-    bp.res.gen = std::move(gen);
-    bp.res.kill = std::move(kill);
-    bp.res.killSideOut = std::move(kso);
 
     bp.res.lsos = computeLsos(block.epoch, block.thread);
 }
@@ -147,14 +115,9 @@ ReachingExpressions::pass2(const BlockView &block)
     }
     bp.res.killSideIn = std::move(side_in);
 
-    // IN = LSOS - KILL-SIDE-IN; OUT = GEN U (IN - KILL).
-    bp.res.in = setDifference(bp.res.lsos, bp.res.killSideIn);
-    ExprSet out = bp.res.gen;
-    for (ExprId e : bp.res.in) {
-        if (!bp.res.kill.contains(e))
-            out.insert(e);
-    }
-    bp.res.out = std::move(out);
+    // IN = LSOS - KILL-SIDE-IN.
+    bp.res.in = bp.res.lsos;
+    bp.res.in.subtract(bp.res.killSideIn);
 }
 
 void
@@ -171,35 +134,40 @@ ReachingExpressions::finalizeEpoch(EpochId l)
         kill.unionWith(priv(l, t).res.kill);
     killEpoch_[l] = std::move(kill);
 
-    // GEN_l: e is generated by the epoch only if some thread generates it
-    // and every other thread generates-or-never-kills it across l-1..l.
-    ExprSet gen;
-    for (ThreadId t = 0; t < numThreads_; ++t) {
-        for (ExprId e : priv(l, t).res.gen) {
-            bool all_others = true;
-            for (ThreadId u = 0; u < numThreads_; ++u) {
-                if (u == t)
-                    continue;
-                if (!inGenSpan(e, l, u) && !inNotKillSpan(e, l, u)) {
-                    all_others = false;
-                    break;
-                }
-            }
-            if (all_others)
-                gen.insert(e);
+    // GEN_l: generated at the end of some block (l, t), and every other
+    // thread u generates-or-never-kills it across epochs l-1..l. Per
+    // expression, u rules it out exactly when u kills it in epoch l, or
+    // kills it in epoch l-1 without generating it again in epoch l (a
+    // block's GEN and KILL are disjoint):
+    //   BLOCKED_u = KILL_{l,u} U (KILL_{l-1,u} - GEN_{l,u})
+    //   GEN_l     = U_t (GEN_{l,t} - U_{u!=t} BLOCKED_u)
+    std::vector<ExprSet> blocked(numThreads_);
+    for (ThreadId u = 0; u < numThreads_; ++u) {
+        const BlockResults &cur = priv(l, u).res;
+        if (l >= 1) {
+            blocked[u] = priv(l - 1, u).res.kill;
+            blocked[u].subtract(cur.gen);
         }
+        blocked[u].unionWith(cur.kill);
     }
-    genEpoch_[l] = std::move(gen);
+    ExprSet gen_epoch;
+    for (ThreadId t = 0; t < numThreads_; ++t) {
+        ExprSet gen = priv(l, t).res.gen;
+        for (ThreadId u = 0; u < numThreads_ && !gen.empty(); ++u) {
+            if (u != t)
+                gen.subtract(blocked[u]);
+        }
+        gen_epoch.unionWith(gen);
+    }
+    genEpoch_[l] = std::move(gen_epoch);
 
     // SOS_{l+2} = GEN_l U (SOS_{l+1} - KILL_l).
     ensure(sos_.size() >= l + 2, "SOS pipeline out of order");
     if (sos_.size() == l + 2)
         sos_.resize(l + 3);
-    ExprSet next = genEpoch_[l];
-    for (ExprId e : sos_[l + 1]) {
-        if (!killEpoch_[l].contains(e))
-            next.insert(e);
-    }
+    ExprSet next = sos_[l + 1];
+    next.subtract(killEpoch_[l]);
+    next.unionWith(genEpoch_[l]);
     sos_[l + 2] = std::move(next);
 }
 
@@ -230,20 +198,54 @@ ReachingExpressions::killEpoch(EpochId l) const
     return killEpoch_[l];
 }
 
-ExprSet
-ReachingExpressions::inAt(EpochId l, ThreadId t, InstrOffset i) const
+ReachingExpressions::InWalk::InWalk(const ReachingExpressions &exprs,
+                                    EpochId l, ThreadId t)
+    : block_(exprs.priv(l, t))
+{}
+
+bool
+ReachingExpressions::InWalk::allIn(InstrOffset i, const KeyRun &r)
 {
-    const BlockPrivate &bp = priv(l, t);
-    ExprSet lsos_k = bp.res.lsos;
-    for (const auto &[off, eff] : bp.effects) {
-        if (off >= i)
-            break;
-        for (ExprId e : eff.kills)
-            lsos_k.erase(e);
-        for (ExprId e : eff.gens)
-            lsos_k.insert(e);
+    // Apply the block's own effects before instruction i: the check of
+    // an instruction sees the state before its own effect.
+    for (; next_ < block_.effects.size() &&
+           block_.effects[next_].offset < i;
+         ++next_) {
+        const ExprEffect &eff = block_.effects[next_].effect;
+        const KeyRun &e = eff.run;
+        (eff.gen ? gen_ : kill_).insert(e.lo, e.hi);
+        (eff.gen ? kill_ : gen_).erase(e.lo, e.hi);
+        cached_ = false;
     }
-    return setDifference(lsos_k, bp.res.killSideIn);
+    for (ExprId p = r.lo;;) {
+        if (!cached_ || p < runLo_ || p > runHi_)
+            locate(p);
+        if (!runIn_)
+            return false;
+        if (runHi_ >= r.hi)
+            return true;
+        p = runHi_ + 1;
+    }
+}
+
+void
+ReachingExpressions::InWalk::locate(ExprId p)
+{
+    // e in IN_{l,t,i} iff it is not killed by a wing and either the walk
+    // generated it or the walk did not kill it and it is in LSOS_{l,t}:
+    //   (gen || (!kill && LSOS)) && !KILL-SIDE-IN
+    //   = (gen && !KILL-SIDE-IN) || (!kill && IN_{l,t})
+    // Every set is consulted: each bounds the run.
+    ExprId lo = 0;
+    ExprId hi = ~ExprId{0};
+    const bool gen = gen_.runAt(p, lo, hi);
+    const bool kill = kill_.runAt(p, lo, hi);
+    const bool in = block_.res.in.runAt(p, lo, hi);
+    const bool side_killed = block_.res.killSideIn.runAt(p, lo, hi);
+    runIn_ = (gen && !side_killed) || (!kill && in);
+    runLo_ = lo;
+    runHi_ = hi;
+    cached_ = true;
 }
 
 } // namespace bfly

@@ -80,6 +80,7 @@ struct Report
     std::vector<ErrorRecord> records; ///< canonical error records
     std::vector<Addr> sos;            ///< final SOS (where exposed)
     std::uint64_t fingerprint = 0;    ///< dataflow sets (reaching defs)
+    std::uint64_t resolveFallbacks = 0; ///< TAINTCHECK budget fallbacks
 };
 
 void
@@ -207,6 +208,7 @@ runLifeguard(const CaseContext &ctx, Lifeguard lg, RunMode mode)
         drive(ctx, mode, driver);
         report.records = canonicalRecords(driver.errors());
         report.sos = driver.sosNow().sorted();
+        report.resolveFallbacks = driver.resolveFallbacks();
         break;
       }
       case Lifeguard::DefCheck: {
@@ -405,6 +407,9 @@ DifferentialRunner::run(const FuzzCase &c) const
     outcome.butterflyErrors =
         sequential[static_cast<std::size_t>(Lifeguard::AddrCheck)]
             .records.size();
+    outcome.taintFallbacks =
+        sequential[static_cast<std::size_t>(Lifeguard::TaintCheck)]
+            .resolveFallbacks;
 
     ErrorLog addrOracleLog;
     ErrorLog lockOracleLog;

@@ -128,6 +128,9 @@ struct CaseOutcome
     std::size_t oracleErrors = 0;
     std::size_t butterflyErrors = 0; ///< ADDRCHECK sequential-mode flags
     std::size_t falsePositives = 0;  ///< ADDRCHECK at the case's H
+    /** TAINTCHECK checks that ran out of their work budget
+     *  (sequential mode). */
+    std::size_t taintFallbacks = 0;
     std::size_t elidedEvents = 0;    ///< events dropped by the plan
     std::size_t summaryEvents = 0;   ///< SiteSummary events emitted
 

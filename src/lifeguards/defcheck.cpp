@@ -10,42 +10,60 @@ namespace {
 
 /** Keys of [base, base+size) (keyRunOf: saturating at the top of the
  *  address space), or none if @p base is outside the monitored window. */
-void
-keysOf(const DefCheckConfig &cfg, Addr base, std::uint16_t size,
-       std::vector<Addr> &out)
+std::optional<KeyRun>
+keysOf(const DefCheckConfig &cfg, Addr base, std::uint16_t size)
 {
-    out.clear();
     if (base == kNoAddr || !cfg.monitored(base))
-        return;
-    forEachKey(keyRunOf(base, size, [&cfg](Addr a) { return cfg.keyOf(a); }),
-               [&out](Addr k) { out.push_back(k); });
+        return std::nullopt;
+    return keyRunOf(base, size, [&cfg](Addr a) { return cfg.keyOf(a); });
 }
 
 /** The reaching-expressions instantiation: "key holds defined data". */
 ExprExtractor
 definedness(const DefCheckConfig &cfg)
 {
-    return [cfg](const Event &e) {
-        ExprEffect eff;
-        std::vector<Addr> keys;
+    return [cfg](const Event &e) -> std::optional<ExprEffect> {
+        bool gen = false;
         switch (e.kind) {
           case EventKind::Write:
           case EventKind::Assign:
           case EventKind::TaintSrc:
           case EventKind::Untaint:
-            keysOf(cfg, e.addr, e.size, keys);
-            eff.gens.assign(keys.begin(), keys.end());
+            gen = true;
             break;
           case EventKind::Alloc: // fresh memory holds garbage
           case EventKind::Free:
-            keysOf(cfg, e.addr, e.size, keys);
-            eff.kills.assign(keys.begin(), keys.end());
             break;
           default:
-            break;
+            return std::nullopt;
         }
-        return eff;
+        const auto keys = keysOf(cfg, e.addr, e.size);
+        if (!keys)
+            return std::nullopt;
+        return ExprEffect{gen, *keys};
     };
+}
+
+/** Call @p fn(base) for each address event @p e reads (none for kinds
+ *  that read nothing). */
+template <typename Fn>
+void
+forEachRead(const Event &e, Fn &&fn)
+{
+    switch (e.kind) {
+      case EventKind::Read:
+      case EventKind::Use:
+        fn(e.addr);
+        break;
+      case EventKind::Assign:
+        if (e.nsrc >= 1)
+            fn(e.src0);
+        if (e.nsrc >= 2)
+            fn(e.src1);
+        break;
+      default:
+        break;
+    }
 }
 
 } // namespace
@@ -73,45 +91,24 @@ ButterflyDefCheck::pass2(const BlockView &block)
     exprs_.pass2(block);
 
     // The check layer: every read must find its keys defined along all
-    // paths — membership in the generic analysis's IN_{l,t,i}.
-    const EpochId l = block.epoch;
+    // paths — membership in the generic analysis's IN_{l,t,i}, checked
+    // in one forward walk over the block.
     const ThreadId t = block.thread;
+    ReachingExpressions::InWalk walk(exprs_, block.epoch, t);
     // Pass-2 blocks run concurrently; buffer reports and commit once.
     std::vector<ErrorRecord> block_errors;
-    std::vector<Addr> keys;
     for (InstrOffset i = 0; i < block.size(); ++i) {
         const Event &e = block.events[i];
-        Addr read_addrs[3] = {kNoAddr, kNoAddr, kNoAddr};
-        std::uint16_t size = e.size;
-        switch (e.kind) {
-          case EventKind::Read:
-          case EventKind::Use:
-            read_addrs[0] = e.addr;
-            break;
-          case EventKind::Assign:
-            if (e.nsrc >= 1)
-                read_addrs[0] = e.src0;
-            if (e.nsrc >= 2)
-                read_addrs[1] = e.src1;
-            break;
-          default:
-            continue;
-        }
-        const ExprSet in = exprs_.inAt(l, t, i);
-        for (Addr base : read_addrs) {
-            if (base == kNoAddr)
-                continue;
-            keysOf(config_, base, size, keys);
-            for (Addr k : keys) {
-                if (!in.contains(k)) {
-                    block_errors.push_back(ErrorRecord{
-                        t, block.first + i, base,
-                        ErrorKind::UninitializedRead, size});
-                    break;
-                }
-            }
-        }
+        forEachRead(e, [&](Addr base) {
+            const auto keys = keysOf(config_, base, e.size);
+            if (keys && !walk.allIn(i, *keys))
+                block_errors.push_back(ErrorRecord{
+                    t, block.first + i, base, ErrorKind::UninitializedRead,
+                    e.size});
+        });
     }
+    if (block_errors.empty())
+        return;
 
     std::lock_guard<std::mutex> lock(mutex_);
     for (const ErrorRecord &rec : block_errors)
@@ -132,22 +129,16 @@ void
 DefCheckOracle::processOne(ThreadId tid, std::uint64_t index,
                            const Event &e)
 {
-    std::vector<Addr> keys;
     auto set_range = [&](Addr base, std::uint16_t size,
                          std::uint8_t v) {
-        keysOf(config_, base, size, keys);
-        for (Addr k : keys)
-            defined_.set(k, v);
+        if (const auto keys = keysOf(config_, base, size))
+            defined_.setRange(keys->lo, keys->keys(), v);
     };
     auto check_range = [&](Addr base, std::uint16_t size) {
-        keysOf(config_, base, size, keys);
-        for (Addr k : keys) {
-            if (defined_.get(k) == 0) {
-                errors_.report(tid, index, base,
-                               ErrorKind::UninitializedRead, size);
-                return;
-            }
-        }
+        const auto keys = keysOf(config_, base, size);
+        if (keys && !defined_.rangeEquals(keys->lo, keys->keys(), 1))
+            errors_.report(tid, index, base, ErrorKind::UninitializedRead,
+                           size);
     };
 
     switch (e.kind) {

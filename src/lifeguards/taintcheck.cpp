@@ -16,6 +16,7 @@ struct TaintCheckTelemetry
     telemetry::MetricId epochsFinalized;
     telemetry::MetricId sosSize;        ///< gauge: tainted keys in SOS
     telemetry::MetricId epochGenKill;   ///< histogram: |GEN_l| + |KILL_l|
+    telemetry::MetricId resolveFallbacks; ///< checks over their budget
 
     static const TaintCheckTelemetry &
     get()
@@ -28,6 +29,8 @@ struct TaintCheckTelemetry
             s.sosSize = r.gauge("bfly.taintcheck.sos_size");
             s.epochGenKill =
                 r.histogram("bfly.taintcheck.epoch_genkill_size");
+            s.resolveFallbacks =
+                r.counter("bfly.taintcheck.resolve_fallbacks");
             return s;
         }();
         return m;
@@ -222,8 +225,14 @@ ButterflyTaintCheck::wingsTaint(Addr key, CheckCtx &ctx)
 bool
 ButterflyTaintCheck::resolveKey(Addr key, CheckCtx &ctx)
 {
-    if (ctx.resolved - ctx.budgetMark >= kMaxResolvedPerCheck)
-        return true; // conservative: assume tainted rather than miss
+    if (ctx.resolved - ctx.budgetMark >= maxResolvedPerCheck_) {
+        // Conservative: assume tainted rather than miss.
+        if (!ctx.overBudget) {
+            ctx.overBudget = true;
+            ++ctx.fallbacks;
+        }
+        return true;
+    }
     ++ctx.resolved;
     const bool relaxed = termination_ == TaintTermination::Relaxed;
 
@@ -368,6 +377,7 @@ ButterflyTaintCheck::pass2(const BlockView &block)
     // commit them once at the end of the block.
     std::vector<ErrorRecord> block_errors;
     std::uint64_t block_resolved = 0;
+    std::uint64_t block_fallbacks = 0;
 
     for (int phase = 1; phase <= 2; ++phase) {
         std::unordered_map<Addr, bool> &last_check =
@@ -411,7 +421,7 @@ ButterflyTaintCheck::pass2(const BlockView &block)
               case EventKind::Assign: {
                 bool tainted = false;
                 const Addr srcs[2] = {e.src0, e.src1};
-                ctx.budgetMark = ctx.resolved;
+                ctx.startCheck();
                 for (unsigned n = 0; n < e.nsrc && !tainted; ++n)
                     tainted = resolveKey(config_.keyOf(srcs[n]), ctx);
                 config_.forEachKeyOf(e.addr, e.size, [&](Addr k) {
@@ -425,7 +435,7 @@ ButterflyTaintCheck::pass2(const BlockView &block)
                 break;
               }
               case EventKind::Use: {
-                ctx.budgetMark = ctx.resolved;
+                ctx.startCheck();
                 const bool tainted =
                     resolveKey(config_.keyOf(e.addr), ctx);
                 if (tainted) {
@@ -447,11 +457,18 @@ ButterflyTaintCheck::pass2(const BlockView &block)
                                      local_taint_offset);
         }
         block_resolved += ctx.resolved;
+        block_fallbacks += ctx.fallbacks;
     }
 
+    if (telemetry::enabled()) {
+        // Per-block flush, never per event.
+        telemetry::registry().add(TaintCheckTelemetry::get().resolveFallbacks,
+                                  block_fallbacks);
+    }
     {
         std::lock_guard<std::mutex> lock(mutex_);
         checksResolved_ += block_resolved;
+        resolveFallbacks_ += block_fallbacks;
         for (const ErrorRecord &rec : block_errors)
             errors_.report(rec);
     }

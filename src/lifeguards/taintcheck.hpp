@@ -84,7 +84,14 @@ class ButterflyTaintCheck : public AnalysisDriver
     /** Number of Check resolutions performed (cost-model feed). */
     std::uint64_t checksResolved() const { return checksResolved_; }
 
+    /** Checks that ran out of their work budget and were reported
+     *  tainted without a full search (a precision loss, never a miss). */
+    std::uint64_t resolveFallbacks() const { return resolveFallbacks_; }
+
   private:
+    /** Test-only access to the work budget (tests/test_taintcheck.cpp). */
+    friend struct TaintCheckTestAccess;
+
     static constexpr std::size_t kWindow = 4;
     static constexpr unsigned kMaxDepth = 128;
     /**
@@ -98,6 +105,8 @@ class ButterflyTaintCheck : public AnalysisDriver
      * at the identical point and report-level equivalence is preserved.
      */
     static constexpr std::uint64_t kMaxResolvedPerCheck = 1u << 16;
+    /** The budget in force: kMaxResolvedPerCheck outside tests. */
+    std::uint64_t maxResolvedPerCheck_ = kMaxResolvedPerCheck;
     /** Root cost meaning "independent of the body block". */
     static constexpr std::int64_t kNoLocal = -1;
 
@@ -171,6 +180,18 @@ class ButterflyTaintCheck : public AnalysisDriver
         std::uint64_t resolved = 0;
         /** ctx.resolved at the start of the current check (budget base). */
         std::uint64_t budgetMark = 0;
+        /** The current check has run out of its budget. */
+        bool overBudget = false;
+        /** Checks through this context that ran out of their budget. */
+        std::uint64_t fallbacks = 0;
+
+        /** Start a check with a fresh work budget. */
+        void
+        startCheck()
+        {
+            budgetMark = resolved;
+            overBudget = false;
+        }
     };
 
     /** Could @p key be tainted under some permitted interleaving? */
@@ -199,11 +220,12 @@ class ButterflyTaintCheck : public AnalysisDriver
     AddrSet sosPrev_; ///< SOS_l   while pass 2 of epoch l runs
     AddrSet sosCur_;  ///< SOS_{l+1} (already advanced by finalize(l-1))
 
-    /** Guards errors_ and checksResolved_: pass-2 blocks run in parallel
+    /** Guards errors_ and the counters: pass-2 blocks run in parallel
      *  and buffer their reports locally, committing once per block. */
     std::mutex mutex_;
     ErrorLog errors_;
     std::uint64_t checksResolved_ = 0;
+    std::uint64_t resolveFallbacks_ = 0;
 };
 
 } // namespace bfly

@@ -122,6 +122,19 @@ TEST(ReachingExprs, EpochGenRequiresOtherThreadsQuiet)
     EXPECT_FALSE(r->analysis.sos(2).contains(0x10));
 }
 
+TEST(ReachingExprs, EpochGenAdmitsThreadsThatRegenerate)
+{
+    // Both threads kill x in epoch 0 and generate it again in epoch 1.
+    // Each thread's last effect on x across epochs 0..1 is a gen, so no
+    // thread rules x out: x is in GEN_1 (its epoch-0 kills are
+    // overridden by its own epoch-1 gens).
+    auto r = runExprs(test::traceOf({
+        {Event::freeOf(0x10, 8), Event::heartbeat(), Event::alloc(0x10, 8)},
+        {Event::freeOf(0x10, 8), Event::heartbeat(), Event::alloc(0x10, 8)},
+    }));
+    EXPECT_TRUE(r->analysis.genEpoch(1).contains(0x10));
+}
+
 // --------------------------------------------------------------------
 // Property tests against exhaustive valid-ordering enumeration.
 // --------------------------------------------------------------------
@@ -149,7 +162,7 @@ TEST_P(ReachingExprsProperty, DualLemma51)
         });
 
         // GEN_l: available at the end of *every* valid ordering.
-        for (ExprId e : r->analysis.genEpoch(l)) {
+        for (ExprId e : r->analysis.genEpoch(l).sorted()) {
             for (const ExprSet &avail : all_avail) {
                 EXPECT_TRUE(avail.contains(e))
                     << "GEN_" << l << " expr " << e
@@ -158,7 +171,7 @@ TEST_P(ReachingExprsProperty, DualLemma51)
             }
         }
         // KILL_l: killed at the end of *some* valid ordering.
-        for (ExprId e : r->analysis.killEpoch(l)) {
+        for (ExprId e : r->analysis.killEpoch(l).sorted()) {
             bool witnessed = false;
             for (const ExprSet &avail : all_avail)
                 witnessed = witnessed || !avail.contains(e);
@@ -185,7 +198,7 @@ TEST_P(ReachingExprsProperty, SosIsSoundForMustAnalysis)
         if (last >= L)
             break;
         const ValidOrderings vo(r->layout, last);
-        for (ExprId e : r->analysis.sos(l)) {
+        for (ExprId e : r->analysis.sos(l).sorted()) {
             vo.forEach([&](const std::vector<OrderedInstr> &order) {
                 const ExprSet avail =
                     test::availOfOrdering(order, test::allocEffects);
@@ -222,7 +235,7 @@ TEST_P(ReachingExprsProperty, InIsSubsetOfEveryPathAvailability)
                 }
                 const ExprSet avail =
                     test::availOfOrdering(prefix, test::allocEffects);
-                for (ExprId e : in) {
+                for (ExprId e : in.sorted()) {
                     EXPECT_TRUE(avail.contains(e))
                         << "IN_{" << l << "," << t
                         << "} claims unavailable expr " << e << " (seed "
@@ -236,6 +249,52 @@ TEST_P(ReachingExprsProperty, InIsSubsetOfEveryPathAvailability)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReachingExprsProperty,
                          ::testing::Range<std::uint64_t>(0, 12));
+
+// --------------------------------------------------------------------
+// The forward IN walk against IN_{l,t,i} rebuilt by its definition.
+// --------------------------------------------------------------------
+
+class InWalkProperty : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(InWalkProperty, VerdictsMatchTheDefinition)
+{
+    // Overlapping 1-3 word allocs, frees, writes and reads over four
+    // words, T in {2, 3, 4}: the walk's verdict for the words of every
+    // instruction must be "every word is in IN_{l,t,i}". Probing the
+    // writes, allocs and frees too, not only the reads, pins that an
+    // instruction sees the state before its own effect.
+    Rng rng(GetParam() * 7919 + 17);
+    const unsigned threads = 2 + static_cast<unsigned>(GetParam() % 3);
+    const Trace trace =
+        test::randomAllocTrace(rng, threads, 4, 6, 4, /*accesses=*/true);
+    const EpochLayout layout = EpochLayout::fromHeartbeats(trace);
+    ReachingExpressions exprs(layout.numThreads(),
+                              test::definednessEffects);
+    WindowSchedule().run(layout, exprs);
+
+    for (EpochId l = 0; l < layout.numEpochs(); ++l) {
+        for (ThreadId t = 0; t < layout.numThreads(); ++t) {
+            const BlockView block = layout.block(l, t);
+            ReachingExpressions::InWalk walk(exprs, l, t);
+            for (InstrOffset i = 0; i < block.size(); ++i) {
+                const KeyRun words = test::wordsOf(block.events[i]);
+                const ExprSet in = test::inAt(
+                    exprs, layout, test::definednessEffects, l, t, i);
+                bool defined = true;
+                forEachKey(words, [&](ExprId e) {
+                    defined = defined && in.contains(e);
+                });
+                EXPECT_EQ(walk.allIn(i, words), defined)
+                    << "block (" << l << "," << t << ") instr " << i
+                    << " (seed " << GetParam() << ")";
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InWalkProperty,
+                         ::testing::Range<std::uint64_t>(0, 48));
 
 } // namespace
 } // namespace bfly

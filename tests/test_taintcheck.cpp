@@ -20,6 +20,17 @@
 #include "workloads/workload.hpp"
 
 namespace bfly {
+
+/** The test-only seam for TAINTCHECK's per-check work budget. */
+struct TaintCheckTestAccess
+{
+    static void
+    setBudget(ButterflyTaintCheck &check, std::uint64_t resolutions)
+    {
+        check.maxResolvedPerCheck_ = resolutions;
+    }
+};
+
 namespace {
 
 TaintCheckConfig
@@ -102,6 +113,32 @@ TEST(TaintCheck, WingTaintIsConservativelyInherited)
         {Event::taintSrc(0x100, 8)},
     }));
     EXPECT_EQ(run.check->errors().size(), 1u);
+}
+
+TEST(TaintCheck, BudgetFallbackIsCountedAndConservative)
+{
+    // Thread 0 uses y, which thread 1 copies from the never-tainted x
+    // in the same epoch: resolving the use takes two resolutions (y,
+    // then x through the wing rule). With the real budget the use is
+    // clean; with a budget of one resolution the check gives up on x,
+    // reports the use tainted and counts the fallback.
+    const Trace trace = test::traceOf({
+        {Event::use(0x200)},
+        {assign8(0x200, 0x100)},
+    });
+    const EpochLayout layout = EpochLayout::fromHeartbeats(trace);
+
+    ButterflyTaintCheck full(layout, cfg8());
+    WindowSchedule().run(layout, full);
+    EXPECT_EQ(full.errors().size(), 0u);
+    EXPECT_EQ(full.resolveFallbacks(), 0u);
+
+    ButterflyTaintCheck tiny(layout, cfg8());
+    TaintCheckTestAccess::setBudget(tiny, 1);
+    WindowSchedule().run(layout, tiny);
+    ASSERT_EQ(tiny.errors().size(), 1u);
+    EXPECT_EQ(tiny.errors().records()[0].tid, 0u);
+    EXPECT_GT(tiny.resolveFallbacks(), 0u);
 }
 
 TEST(TaintCheck, DistantPastTaintArrivesViaSos)
