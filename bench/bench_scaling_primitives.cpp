@@ -152,9 +152,9 @@ BENCHMARK(BM_ButterflyAddrCheckThroughput)
 void
 BM_ReferenceVsPipelined(benchmark::State &state)
 {
-    // Wall-clock effect of running the lifeguard on real threads: the
-    // single-threaded reference loop vs the pipelined task graph (the
-    // paper's lock-free schedule, Section 4.3 "single writer").
+    // Wall-clock cost of the streaming source: the step loop over a
+    // materialized layout vs the same loop admitting and retiring
+    // epochs from an EpochStream.
     const bool pipelined = state.range(0) != 0;
     WorkloadConfig wcfg;
     wcfg.numThreads = 8;
@@ -168,16 +168,13 @@ BM_ReferenceVsPipelined(benchmark::State &state)
     acfg.heapBase = w.heapBase;
     acfg.heapLimit = w.heapLimit;
 
-    // One persistent pool for the whole measurement; per-iteration cost
-    // is task dispatch, not thread creation.
-    WorkerPool pool(8);
     for (auto _ : state) {
         ButterflyAddrCheck butterfly(layout, acfg);
         if (pipelined) {
             EpochStream::Config scfg;
             scfg.globalH = global_h;
             EpochStream stream(trace, scfg);
-            WindowSchedule(&pool).runPipelined(stream, butterfly);
+            WindowSchedule().runPipelined(stream, butterfly);
         } else {
             WindowSchedule().run(layout, butterfly);
         }

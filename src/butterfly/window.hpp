@@ -14,12 +14,16 @@
  *   step 4  epoch l-1's summary (GEN_l-1 / KILL_l-1) updates the SOS.
  *
  * The WindowSchedule drives an AnalysisDriver through exactly this order
- * in two ways: run() is the plain single-threaded loop, the executable
- * statement of the algorithm; runPipelined() is the one parallel path, a
- * dependency task graph over a streaming EpochStream. Its blocks may run
- * concurrently because blocks within a pass touch disjoint state and the
- * shared SOS is only advanced in the single-writer step 4 (the paper's
- * "no synchronization on metadata" observation).
+ * with one step loop on the calling thread, over either of two block
+ * sources: run() reads a materialized EpochLayout (the reference loop,
+ * and the monitoring service, whose sessions are decoded straight into
+ * one), runPipelined() admits epochs from a streaming EpochStream and
+ * retires each once it is settled, keeping O(window) epochs resident.
+ * Parallelism lives above the schedule: the service runs many sessions'
+ * loops on its workers at once. The paper's observation that blocks
+ * within a pass touch disjoint state still holds for every driver; the
+ * cycle model in sim/lba prices what a per-block parallel schedule would
+ * gain on the paper's hardware.
  */
 
 #ifndef BUTTERFLY_BUTTERFLY_WINDOW_HPP
@@ -27,10 +31,11 @@
 
 #include <cstddef>
 
-#include "common/worker_pool.hpp"
 #include "trace/epoch_slicer.hpp"
 
 namespace bfly {
+
+class WorkerPool;
 
 /** Hooks a butterfly analysis implements; called by WindowSchedule. */
 class AnalysisDriver
@@ -78,43 +83,32 @@ class AnalysisDriver
     virtual void setBatchMode(bool enabled) { (void)enabled; }
 
     /**
-     * Ordering constraint the pipelined (dependency-graph) schedule must
-     * honor for this driver. The default — true — reproduces the
-     * sequential pattern exactly: finalizeEpoch(l) waits for pass 2 of
-     * epoch l and gates pass 2 of epoch l+1. This is required whenever
-     * pass 2 reads SOS state that finalizeEpoch advances, or
-     * finalizeEpoch reads pass-2 results (TAINTCHECK does both), and it
-     * also makes every finalize a quiescent point at which beginPass may
-     * safely resize shared containers (reaching_defs/exprs).
-     *
-     * Drivers whose pass 2 and finalizeEpoch consume only pass-1
-     * summaries (ADDRCHECK) return false: finalizeEpoch then only waits
-     * for pass 1 of its own window, so pass 1 of epoch l+1 overlaps
-     * pass 2 of epoch l-1 with no global synchronization at all. A
-     * relaxed driver must tolerate beginPass being called while pass-2
-     * tasks of older epochs are still running (i.e. not override it, or
-     * make it thread-safe).
+     * Whether finalizeEpoch(l) must wait for pass 2 of epoch l. True
+     * (the default) whenever pass 2 reads SOS state that finalizeEpoch
+     * advances, or finalizeEpoch reads pass-2 results (TAINTCHECK does
+     * both). Drivers whose pass 2 and finalizeEpoch consume only pass-1
+     * summaries (ADDRCHECK) return false. The step loop honors both
+     * orders by construction; the flag sets which dependency graph the
+     * cycle model of the paper's hardware prices (sim/lba,
+     * harness/perf_model).
      */
     virtual bool finalizeAfterPass2() const { return true; }
 
     /**
-     * True if pass 2 of block (l, t) reads thread t's *own* epoch-l+1
-     * pass-1 summary — e.g. a whole-window fixpoint like ADDRLEAK's
-     * WM_l that must fold every thread's epoch-l+1 rules, its own
-     * included. The pipelined schedule then orders P2(l,t) after
-     * P1(l+1,t) as well. Drivers that exclude the body thread from all
-     * wing reads (TAINTCHECK, ADDRCHECK, DEFINEDCHECK, LOCKSET) keep
-     * the default and let a heavy thread's pass 2 overlap its own next
-     * pass 1.
+     * No longer consulted: the step loop always runs pass 1 of epoch
+     * l+1 before pass 2 of epoch l. It stays only because the service
+     * benchmark's traced driver (perfbench/replay.cpp) overrides it.
+     * Remove it together with that override in the next change to the
+     * benchmark.
      */
     virtual bool pass2ReadsOwnNextPass1() const { return false; }
 };
 
-/** Observability counters from one pipelined (task-graph) run. */
+/** Observability counters from one streamed run. */
 struct PipelineStats
 {
-    std::size_t tasksRun = 0;         ///< graph tasks executed
-    std::size_t epochsFinalized = 0;  ///< finalize tasks executed
+    std::size_t tasksRun = 0;         ///< block passes and finalizes run
+    std::size_t epochsFinalized = 0;  ///< finalizeEpoch calls
     /** High-water mark of simultaneously resident epochs. */
     std::size_t peakResidentEpochs = 0;
     /** Producer stalls recorded by the stream's back-pressure buffer. */
@@ -125,46 +119,35 @@ struct PipelineStats
 class WindowSchedule
 {
   public:
-    /**
-     * @param pool  pool runPipelined() dispatches on; borrowed, must
-     *              outlive the schedule. Only run() may go without one.
-     */
-    explicit WindowSchedule(WorkerPool *pool = nullptr) : pool_(pool) {}
+    WindowSchedule() = default;
 
     /**
-     * The same, with an ignored leading flag. It stays only because the
+     * The same, with both arguments ignored. It stays only because the
      * service benchmark (perfbench/replay.cpp) constructs
      * WindowSchedule(true, &pool); remove it together with that call in
      * the next change to the benchmark.
      */
-    WindowSchedule(bool ignored, WorkerPool *pool) : pool_(pool)
+    WindowSchedule(bool ignored, WorkerPool *pool)
     {
         (void)ignored;
+        (void)pool;
     }
 
     /**
-     * The reference loop: process the whole trace on the calling thread,
-     * one block after another, in exactly the paper's window order.
+     * Process the whole layout on the calling thread, one block after
+     * another, in exactly the paper's window order.
      */
     void run(const EpochLayout &layout, AnalysisDriver &driver) const;
 
     /**
-     * Process the trace as a dependency task graph: each block-pass and
-     * each finalize is one task that becomes runnable the instant its
-     * prerequisites complete, so pass 1 of epoch l+1 overlaps pass 2 of
-     * epoch l-1 and a thread with a heavy block never stalls the whole
-     * window behind a barrier. Epochs are admitted into the stream's
-     * bounded ring as the graph reaches them and retired once no
-     * remaining task can read their events, keeping resident event
-     * memory O(window) regardless of trace length. Produces bit-identical
-     * analysis results to run() over the same epochs for any driver
-     * (DESIGN.md "Pipelined scheduler").
+     * The same step loop over a streaming source: step l acquires epoch
+     * l, runs its pass 1, then pass 2 and finalize of epoch l-1, and
+     * retires l-1 — so at most two epochs are resident, however long
+     * the trace. Bit-identical to run() over the same epochs for any
+     * driver (DESIGN.md "Step loop").
      */
     PipelineStats runPipelined(EpochStream &stream,
                                AnalysisDriver &driver) const;
-
-  private:
-    WorkerPool *pool_;
 };
 
 } // namespace bfly

@@ -2,21 +2,21 @@
  * @file
  * Persistent worker pool executing queued tasks.
  *
- * The pipelined window schedule is a dependency task graph: a finishing
- * task submits each successor whose last prerequisite it was. The pool
- * keeps a fixed set of long-lived threads parked on a condition
- * variable; all dispatch goes through one mutex-protected FIFO queue.
- * Per-task work in this codebase is a whole block pass (thousands of
- * events), so a queue lock per task is noise.
+ * The monitoring service runs each session's decode pump and analysis
+ * as tasks; a pump may submit the session's analysis from inside its
+ * body. The pool keeps a fixed set of long-lived threads parked on a
+ * condition variable; all dispatch goes through one mutex-protected FIFO
+ * queue. Per-task work is a whole chunk decode or a whole session's
+ * window, so a queue lock per task is noise.
  *
  * Tasks are submitted into a TaskGroup, a completion domain: an atomic
  * count of submitted-but-unfinished tasks, incremented before a task is
- * visible in the queue and decremented after its body returns. A graph's
- * submissions happen inside task bodies, so the count reaching zero
- * means the whole frontier drained. The last decrement wakes the waiter
- * through a second condition variable. Several drivers (the monitoring
- * service's concurrent sessions) share one pool, each waiting on its own
- * group.
+ * visible in the queue and decremented after its body returns. Tasks
+ * submitted from inside task bodies are counted before their parent
+ * finishes, so the count reaching zero means the whole frontier
+ * drained. The last decrement wakes the waiter through a second
+ * condition variable. Several drivers (the monitoring service's reactor
+ * shards) share one pool, each waiting on its own group.
  *
  * An earlier revision dispatched batches through a lock-free ticket
  * counter. A worker descheduled inside that protocol could wake after
@@ -91,11 +91,10 @@ class WorkerPool
 
     /**
      * Enqueue one task into @p group. Safe to call from any thread,
-     * including from inside a running task (a dependency graph submits a
-     * successor the moment its last prerequisite completes). Any number
-     * of drivers may submit into distinct groups and wait on them
-     * concurrently — this is how the monitoring service runs many
-     * sessions' pipelined window schedules on one shared pool. Every
+     * including from inside a running task (a session's pump submits
+     * its analysis). Any number of drivers may submit into distinct
+     * groups and wait on them concurrently — this is how the monitoring
+     * service's reactor shards share one pool. Every
      * task must be balanced by a waitGroup() in flight or to come; tasks
      * never outlive the pool.
      */

@@ -7,7 +7,6 @@
 
 #include "butterfly/reaching_defs.hpp"
 #include "butterfly/window.hpp"
-#include "common/worker_pool.hpp"
 #include "lifeguards/addrcheck.hpp"
 #include "lifeguards/addrcheck_oracle.hpp"
 #include "lifeguards/addrleak.hpp"
@@ -179,12 +178,11 @@ drive(const CaseContext &ctx, RunMode mode, AnalysisDriver &driver)
         break;
       case RunMode::Pipelined: {
         // The same epochs as the layout (same globalH), sliced as the
-        // graph admits them.
+        // step loop admits them.
         EpochStream::Config scfg;
         scfg.globalH = ctx.c.globalH;
         EpochStream stream(ctx.trace, scfg);
-        WorkerPool pool(std::max<std::size_t>(1, ctx.trace.numThreads()));
-        WindowSchedule(&pool).runPipelined(stream, driver);
+        WindowSchedule().runPipelined(stream, driver);
         break;
       }
     }
@@ -485,8 +483,9 @@ DifferentialRunner::run(const FuzzCase &c) const
             const staticpass::ElisionPlan plan =
                 staticpass::buildElisionPlan(stamped, sites, copt);
             staticpass::ElisionStats estats;
-            const Trace elided =
-                staticpass::applyElisionPlan(stamped, plan, &estats);
+            std::vector<std::vector<std::uint64_t>> original_index;
+            const Trace elided = staticpass::applyElisionPlan(
+                stamped, plan, &estats, &original_index);
             outcome.elidedEvents = estats.elidedEvents;
             outcome.summaryEvents = estats.summaryEvents;
 
@@ -500,8 +499,11 @@ DifferentialRunner::run(const FuzzCase &c) const
                     runLifeguard(ectx, p.lg, RunMode::Sequential);
                 if (config_.fault.corrupts(p.lg, RunMode::Sequential))
                     dropKind(r, config_.fault.dropKind);
+                // Elision shifted the indices; compare on the full
+                // trace's.
                 const AccuracyReport acc = compareToOracle(
-                    logOf(r.records), p.oracle, p.granularity);
+                    logOf(r.records).remapped(original_index), p.oracle,
+                    p.granularity);
                 if (acc.falseNegatives != 0) {
                     std::ostringstream os;
                     os << acc.falseNegatives << " of " << p.oracle.size()

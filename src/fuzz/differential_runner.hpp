@@ -7,8 +7,8 @@
  * Invariants checked per case:
  *
  *  - mode equivalence (Theorem-free, but the repo's own guarantee): the
- *    single-threaded reference loop over a materialized layout and the
- *    pipelined task graph over a streaming EpochStream must produce
+ *    step loop over a materialized layout and the same loop over a
+ *    streaming EpochStream (admit, settle, retire) must produce
  *    bit-identical reports (error records, SOS, and — for the generic
  *    reaching-defs analysis — every per-epoch/per-block dataflow set);
  *
@@ -67,10 +67,10 @@ inline constexpr Lifeguard kAllLifeguards[] = {
     Lifeguard::ReachingDefs, Lifeguard::LockSet, Lifeguard::AddrLeak};
 const char *lifeguardName(Lifeguard lg);
 
-/** The two schedules: the reference loop and the one parallel path. */
+/** The step loop's two block sources. */
 enum class RunMode : std::uint8_t {
     Sequential, ///< reference loop over the materialized layout
-    Pipelined,  ///< dependency task graph over an EpochStream
+    Pipelined,  ///< the same loop over a streaming EpochStream
 };
 inline constexpr RunMode kAllModes[] = {RunMode::Sequential,
                                         RunMode::Pipelined};

@@ -89,9 +89,11 @@ runSession(const SessionConfig &config)
     // only their SiteSummary stand-ins do. The oracle below still
     // replays the full trace.
     Trace elided;
+    std::vector<std::vector<std::uint64_t>> original_index;
     if (config.elide) {
         telemetry::TraceSpan span("session.elide");
-        elided = staticpass::applyElisionPlan(trace, plan, &result.elision);
+        elided = staticpass::applyElisionPlan(trace, plan, &result.elision,
+                                              &original_index);
     }
     const Trace &monitored = config.elide ? elided : trace;
 
@@ -142,8 +144,11 @@ runSession(const SessionConfig &config)
     result.epochs = layout.numEpochs();
     result.butterflyErrorCount = butterfly.errors().size();
     result.oracleErrorCount = oracle.errors().size();
-    result.accuracy = compareToOracle(butterfly.errors(), oracle.errors(),
-                                      acfg.granularity);
+    // Elision shifted the monitored indices; compare on the full trace's.
+    result.accuracy = compareToOracle(
+        config.elide ? butterfly.errors().remapped(original_index)
+                     : butterfly.errors(),
+        oracle.errors(), acfg.granularity);
     result.falsePositiveRate =
         result.accuracy.falsePositiveRate(result.memoryAccesses);
 

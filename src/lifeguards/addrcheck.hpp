@@ -21,7 +21,7 @@
  * the test suite against both SC and TSO executions.
  *
  * Thread safety: pass1/pass2 may be invoked concurrently for different
- * blocks (WindowSchedule::runPipelined). Per-block state is disjoint;
+ * blocks (the paper's parallel lifeguard cores). Per-block state is disjoint;
  * shared state (error log, counters) is committed once per block under a
  * mutex. finalizeEpoch is single-writer by design.
  */
@@ -104,9 +104,9 @@ class ButterflyAddrCheck : public AnalysisDriver
 
     /**
      * ADDRCHECK's pass 2 and finalize consume only pass-1 summaries —
-     * never the SOS that finalize advances, nor pass-2 results — so the
-     * pipelined schedule may run them relaxed: finalizeEpoch(l) does not
-     * gate pass 2 of epoch l, and no global synchronization remains.
+     * never the SOS that finalize advances, nor pass-2 results — so a
+     * parallel schedule may run them relaxed: finalizeEpoch(l) does not
+     * gate pass 2 of epoch l (the cycle model prices this).
      */
     bool finalizeAfterPass2() const override { return false; }
 

@@ -31,6 +31,20 @@ ErrorRecord::toString() const
     return os.str();
 }
 
+ErrorLog
+ErrorLog::remapped(
+    const std::vector<std::vector<std::uint64_t>> &index_map) const
+{
+    ErrorLog out;
+    for (ErrorRecord rec : records_) {
+        if (rec.tid < index_map.size() &&
+            rec.index < index_map[rec.tid].size())
+            rec.index = index_map[rec.tid][rec.index];
+        out.report(rec);
+    }
+    return out;
+}
+
 AccuracyReport
 compareToOracle(const ErrorLog &monitored, const ErrorLog &oracle,
                 unsigned granularity)

@@ -92,6 +92,15 @@ class ErrorLog
                                 .key()) != 0;
     }
 
+    /**
+     * This log with each record's per-thread index translated through
+     * @p index_map[tid] — e.g. from an elided trace's indices to the
+     * full trace's (staticpass::applyElisionPlan), so the records can be
+     * compared with an oracle's. Records outside the map keep theirs.
+     */
+    ErrorLog
+    remapped(const std::vector<std::vector<std::uint64_t>> &index_map) const;
+
     const std::vector<ErrorRecord> &records() const { return records_; }
     std::size_t size() const { return records_.size(); }
     bool empty() const { return records_.empty(); }

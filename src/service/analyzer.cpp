@@ -181,39 +181,32 @@ RemoteReport::identical(const RemoteReport &other) const
 }
 
 RemoteReport
-analyzeStreaming(const SessionSpec &spec, const Trace &trace,
-                 WorkerPool &pool,
-                 const EpochStream::ReslicePolicy &reslice,
-                 std::vector<std::uint32_t> *realized_spans)
-{
-    EpochStream::Config cfg;
-    cfg.windowEpochs = spec.windowEpochs;
-    cfg.fromHeartbeats = true;
-    cfg.reslice = reslice;
-    EpochStream stream(trace, cfg);
-    if (realized_spans)
-        *realized_spans = stream.realizedSpans();
-
-    RemoteReport report = runLifeguard(
-        spec, trace.numThreads(), stream.numEpochs(),
-        [&](AnalysisDriver &driver) {
-            const PipelineStats stats =
-                WindowSchedule(&pool).runPipelined(stream, driver);
-            return stats.peakResidentEpochs;
-        });
-    report.events = trace.instructionCount();
-    return report;
-}
-
-RemoteReport
-analyzeReference(const SessionSpec &spec, const Trace &trace,
-                 const EpochLayout &layout)
+analyzeLayout(const SessionSpec &spec, const EpochLayout &layout)
 {
     RemoteReport report = runLifeguard(
         spec, layout.numThreads(), layout.numEpochs(),
         [&](AnalysisDriver &driver) {
             WindowSchedule().run(layout, driver);
-            return std::size_t{0};
+            return layout.numEpochs();
+        });
+    report.events = layout.instructionCount();
+    return report;
+}
+
+RemoteReport
+analyzeStreaming(const SessionSpec &spec, const Trace &trace)
+{
+    EpochStream::Config cfg;
+    cfg.windowEpochs = spec.windowEpochs;
+    cfg.fromHeartbeats = true;
+    EpochStream stream(trace, cfg);
+
+    RemoteReport report = runLifeguard(
+        spec, trace.numThreads(), stream.numEpochs(),
+        [&](AnalysisDriver &driver) {
+            return WindowSchedule()
+                .runPipelined(stream, driver)
+                .peakResidentEpochs;
         });
     report.events = trace.instructionCount();
     return report;

@@ -3,14 +3,14 @@
  * Session analysis for the monitoring service: run one lifeguard over
  * one trace and produce a canonical, comparable report.
  *
- * Both sides of the wire use this module. The server drives the
- * pipelined window schedule over a streaming EpochStream (heartbeat
- * boundaries — remote logs carry no gseq) on the shared worker pool;
- * the client/loadgen computes a local reference with the single-threaded
- * reference loop over a materialized layout. The reports are required
- * to be bit-identical: records, SOS and the dataflow fingerprint all
- * match, or the service has corrupted the analysis somewhere between
- * the socket and the scheduler.
+ * Both sides of the wire use this module. The server decodes each
+ * session's log straight into an EpochLayout (heartbeat boundaries —
+ * remote logs carry no gseq) and runs the window's step loop over it on
+ * the worker that owns the session; the client/loadgen computes a local
+ * reference with the same loop over a layout it slices itself. The
+ * reports are required to be bit-identical: records, SOS and the
+ * dataflow fingerprint all match, or the service has corrupted the
+ * analysis somewhere between the socket and the scheduler.
  */
 
 #ifndef BUTTERFLY_SERVICE_ANALYZER_HPP
@@ -19,11 +19,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/worker_pool.hpp"
 #include "lifeguards/report.hpp"
 #include "service/wire.hpp"
 #include "trace/epoch_slicer.hpp"
 #include "trace/trace.hpp"
+
+namespace bfly {
+class WorkerPool;
+}
 
 namespace bfly::service {
 
@@ -51,36 +54,45 @@ struct RemoteReport
     std::uint64_t fingerprint = 0;    ///< FNV over records+SOS+dataflow
     std::uint64_t epochs = 0;
     std::uint64_t events = 0;         ///< non-heartbeat instructions
-    std::uint64_t peakResidentEpochs = 0; ///< streaming runs only
+    std::uint64_t peakResidentEpochs = 0; ///< most epochs held at once
 
     bool identical(const RemoteReport &other) const;
 };
 
 /**
- * Server path: pipelined dependency-graph schedule over a bounded
- * EpochStream sliced at the trace's embedded heartbeat markers, with
- * graph tasks dispatched on @p pool (shared across sessions — each run
- * waits on its own TaskGroup).
- *
- * @p reslice optionally coalesces the marker-delimited source epochs
- * into coarser analyzed epochs (adaptive epoch sizing; see
- * EpochStream::ReslicePolicy). When set, @p realized_spans (if non-null)
- * receives the per-epoch merge widths actually chosen so the caller can
- * advertise them (EpochHint) and rebuild the bit-identical reference
- * with EpochLayout::coalescedFromHeartbeats.
+ * Run the requested lifeguard over @p layout with the step loop on the
+ * calling thread (WindowSchedule::run). The server's path for every
+ * session, and the client's reference.
  */
-RemoteReport analyzeStreaming(const SessionSpec &spec, const Trace &trace,
-                              WorkerPool &pool,
-                              const EpochStream::ReslicePolicy &reslice = {},
-                              std::vector<std::uint32_t> *realized_spans =
-                                  nullptr);
+RemoteReport analyzeLayout(const SessionSpec &spec,
+                           const EpochLayout &layout);
+
+/** analyzeLayout of @p layout (the trace it slices is not read). */
+inline RemoteReport
+analyzeReference(const SessionSpec &spec, const Trace &,
+                 const EpochLayout &layout)
+{
+    return analyzeLayout(spec, layout);
+}
 
 /**
- * Reference path: the single-threaded reference loop over a
- * materialized layout. @p layout must describe @p trace.
+ * The streamed path: the step loop over a bounded EpochStream sliced at
+ * @p trace's embedded heartbeat markers, on the calling thread. Only
+ * O(window) epochs of events are resident at once.
  */
-RemoteReport analyzeReference(const SessionSpec &spec, const Trace &trace,
-                              const EpochLayout &layout);
+RemoteReport analyzeStreaming(const SessionSpec &spec, const Trace &trace);
+
+/**
+ * The same, with the pool ignored. It stays only because the service
+ * benchmark (perfbench/replay.cpp) calls analyzeStreaming(spec, trace,
+ * pool); remove it together with that call in the next change to the
+ * benchmark.
+ */
+inline RemoteReport
+analyzeStreaming(const SessionSpec &spec, const Trace &trace, WorkerPool &)
+{
+    return analyzeStreaming(spec, trace);
+}
 
 } // namespace bfly::service
 

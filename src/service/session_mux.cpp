@@ -25,6 +25,8 @@ struct MuxMetrics
     telemetry::MetricId analysisSos;
     telemetry::MetricId coalescedEpochs;
     telemetry::MetricId hChanges;
+    telemetry::MetricId decodeNs;
+    telemetry::MetricId analysisNs;
 
     static const MuxMetrics &
     get()
@@ -41,6 +43,8 @@ struct MuxMetrics
             x.coalescedEpochs =
                 r.counter("bfly.service.session.coalesced_epochs");
             x.hChanges = r.counter("bfly.service.session.h_changes");
+            x.decodeNs = r.counter("bfly.service.session.decode_ns");
+            x.analysisNs = r.counter("bfly.service.session.analysis_ns");
             return x;
         }();
         return m;
@@ -75,11 +79,8 @@ struct SessionMux::Session
 
     // Decoded state: touched only by the (single in-flight) pump task
     // and, after the pump has drained, the analysis task.
-    std::vector<ChunkedLogDecoder> decoders; ///< [tid]
-    std::vector<std::vector<Event>> decoded; ///< [tid]
+    BlockIngest ingest; ///< per-thread decoders + epoch blocks
     std::size_t decodedEvents = 0;
-    /** SiteSummary events among the decoded (wire v4 Summary echo). */
-    std::uint64_t summaryEvents = 0;
 
     /** Bytes currently charged against the mux's global budget. */
     std::size_t accounted = 0;
@@ -133,8 +134,7 @@ SessionMux::open(const SessionSpec &spec, std::uint64_t preassigned_id)
 {
     auto session = std::make_shared<Session>();
     session->spec = spec;
-    session->decoders.resize(spec.numThreads);
-    session->decoded.resize(spec.numThreads);
+    session->ingest = BlockIngest(spec.numThreads);
     session->controller = EpochController(config_.controller);
 
     std::lock_guard<std::mutex> lock(mutex_);
@@ -368,26 +368,19 @@ SessionMux::pump(const std::shared_ptr<Session> &session)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(config_.debugPumpDelayMs));
 
-        // Decode outside the lock: decoders/decoded are owned by the
-        // single in-flight pump.
-        ChunkedLogDecoder &decoder = session->decoders[chunk.tid];
-        decoder.feed(chunk.bytes);
-        std::vector<Event> &out = session->decoded[chunk.tid];
-        Event e;
-        DecodeStatus status;
-        std::size_t decoded_now = 0;
-        std::uint64_t summaries_now = 0;
-        while ((status = decoder.next(e)) == DecodeStatus::Ok) {
-            out.push_back(e);
-            ++decoded_now;
-            if (e.kind == EventKind::SiteSummary)
-                ++summaries_now;
-        }
-        if (status == DecodeStatus::Corrupt) {
+        // Decode outside the lock: the ingest is owned by the single
+        // in-flight pump. Every event the chunk completes lands in its
+        // thread's epoch blocks in one pass.
+        const std::uint64_t t0 = traced ? telemetry::tracer().nowNs() : 0;
+        const std::size_t before = session->ingest.eventsDecoded();
+        if (session->ingest.feed(chunk.tid, chunk.bytes) ==
+            DecodeStatus::Corrupt) {
             failSession(session, RejectCode::CorruptLog,
                         "log bytes failed to decode");
             return;
         }
+        const std::size_t decoded_now =
+            session->ingest.eventsDecoded() - before;
 
         const std::size_t event_bytes = decodedEventBytes(decoded_now);
         bool too_large = false;
@@ -399,7 +392,6 @@ SessionMux::pump(const std::shared_ptr<Session> &session)
             }
             session->queuedBytes -= chunk.bytes.size();
             session->decodedEvents += decoded_now;
-            session->summaryEvents += summaries_now;
             session->accounted += event_bytes;
             session->accounted -= chunk.bytes.size();
             // One accounting call per chunk: charge the decoded events
@@ -421,6 +413,7 @@ SessionMux::pump(const std::shared_ptr<Session> &session)
         }
         if (traced) {
             auto &r = telemetry::registry();
+            r.add(metrics.decodeNs, telemetry::tracer().nowNs() - t0);
             r.add(metrics.ingestChunks, 1);
             r.add(metrics.ingestBytes, chunk.bytes.size());
             r.add(metrics.ingestEvents, decoded_now);
@@ -440,27 +433,31 @@ SessionMux::analyze(const std::shared_ptr<Session> &session)
 {
     telemetry::ScopedRegistry scoped(&session->metrics);
 
-    Trace trace;
+    const bool traced = telemetry::enabled();
+    const std::uint64_t t0 = traced ? telemetry::tracer().nowNs() : 0;
+    BlockIngest ingest;
     DegradeLevel level = DegradeLevel::Normal;
     {
         std::lock_guard<std::mutex> lock(session->mutex);
         if (session->failed || session->aborted)
             return;
-        trace.threads.resize(session->spec.numThreads);
-        for (std::uint32_t t = 0; t < session->spec.numThreads; ++t) {
-            trace.threads[t].tid = t;
-            trace.threads[t].events = std::move(session->decoded[t]);
-        }
+        ingest = std::move(session->ingest);
         level = session->controller.level();
     }
+    if (ingest.pendingBytes() > 0) {
+        failSession(session, RejectCode::CorruptLog,
+                    "log ends in the middle of an event");
+        return;
+    }
+    const std::uint64_t summary_events = ingest.summaryEvents();
 
-    // Adaptive epoch sizing: pick the coalescing policy the stream will
+    // Adaptive epoch sizing: pick the coalescing policy the layout will
     // consult per epoch group. The ladder's Grow rungs set a floor, the
     // size target merges marker-dense streams up to the analysis sweet
     // spot, and the force-cycle hook deterministically exercises every
     // width so the differential harness can prove bit-identity across
     // h-changes.
-    EpochStream::ReslicePolicy reslice;
+    ReslicePolicy reslice;
     bool degrade_partial = false;
     if (config_.adaptive) {
         degrade_partial = level >= DegradeLevel::Partial;
@@ -496,13 +493,12 @@ SessionMux::analyze(const std::shared_ptr<Session> &session)
         }
     }
 
-    // The pipelined schedule's task graph dispatches on the shared pool;
-    // its GraphRunner waits on its own TaskGroup, so concurrent sessions
-    // never steal each other's completion signal.
+    // The session is the unit of parallelism: its whole window runs on
+    // this worker, over the blocks the pump decoded (no copy).
     std::vector<std::uint32_t> spans;
-    RemoteReport report =
-        analyzeStreaming(session->spec, trace, pool_, reslice,
-                         reslice ? &spans : nullptr);
+    const EpochLayout layout =
+        std::move(ingest).layout(reslice, reslice ? &spans : nullptr);
+    RemoteReport report = analyzeLayout(session->spec, layout);
 
     std::uint64_t h_changes = 0;
     std::uint64_t coalesced = 0;
@@ -513,7 +509,7 @@ SessionMux::analyze(const std::shared_ptr<Session> &session)
             ++h_changes;
     }
 
-    if (telemetry::enabled()) {
+    if (traced) {
         const MuxMetrics &metrics = MuxMetrics::get();
         auto &r = telemetry::registry();
         r.add(metrics.analysisEpochs, report.epochs);
@@ -521,6 +517,7 @@ SessionMux::analyze(const std::shared_ptr<Session> &session)
         r.add(metrics.analysisSos, report.sos.size());
         r.add(metrics.coalescedEpochs, coalesced);
         r.add(metrics.hChanges, h_changes);
+        r.add(metrics.analysisNs, telemetry::tracer().nowNs() - t0);
     }
 
     {
@@ -538,7 +535,7 @@ SessionMux::analyze(const std::shared_ptr<Session> &session)
     result.hChanges = h_changes;
     result.degradePartial = degrade_partial;
     result.planFingerprint = session->spec.planFingerprint;
-    result.summaryEvents = session->summaryEvents;
+    result.summaryEvents = summary_events;
     result.metrics = session->metrics.snapshot();
     publish(std::move(result));
 }

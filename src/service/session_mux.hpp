@@ -7,17 +7,19 @@
  * LogBuffer analogue: the network is the producer, the decode pump the
  * consumer). The event loop enqueues accepted chunks and a pump task —
  * one in flight per session, running on the shared pool — drains the
- * queue through a per-thread ChunkedLogDecoder into the session's
- * decoded trace. When the queue is at capacity, or the server-wide byte
- * budget (queued + decoded bytes across all sessions) is exhausted, the
- * chunk is shed with a Busy outcome and the client rewinds (go-back-N).
+ * queue through a BlockIngest: each chunk is decoded in one pass
+ * straight into its thread's epoch blocks. When the queue is at
+ * capacity, or the server-wide byte budget (queued + decoded bytes
+ * across all sessions) is exhausted, the chunk is shed with a Busy
+ * outcome and the client rewinds (go-back-N).
  * A session whose own footprint exceeds its hard cap is rejected
  * outright — that is not a transient condition, so retrying would
  * livelock.
  *
- * After TraceEnd drains, an analysis job runs the pipelined window
- * schedule over a streaming EpochStream (O(window) resident epochs) on
- * the same pool, inside the session's telemetry registry. Completion
+ * After TraceEnd drains, an analysis job on the same pool adopts the
+ * decoded blocks as an EpochLayout (no copy) and runs the whole window
+ * on its own worker, inside the session's telemetry registry: sessions,
+ * not blocks, are the unit of parallelism. Completion
  * results cross back to the event loop through a mutex-protected queue
  * plus a caller-supplied wake callback (the server writes a self-pipe).
  *

@@ -112,8 +112,8 @@ TimingResult simulateButterfly(const ButterflyTimingInput &input);
 
 /**
  * Timing of the *pipelined* butterfly schedule: the same per-block costs
- * executed as a dependency task graph (the one WindowSchedule::
- * runPipelined builds) by @p workers work-conserving lifeguard cores —
+ * executed as a dependency task graph (edges in DESIGN.md §7) by
+ * @p workers work-conserving lifeguard cores —
  * no barriers, a block-pass starts the moment its prerequisites finish
  * and a core is free. Greedy list scheduling in task order; admission
  * and retirement are free; finalizeEpoch costs sosUpdateCost[l].

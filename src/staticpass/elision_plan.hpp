@@ -104,14 +104,25 @@ struct ElisionStats
  * Apply @p plan to one thread's event stream (program order, heartbeats
  * allowed). Elided runs become SiteSummary events; everything else is
  * copied verbatim. @p stats accumulates across calls when non-null.
+ *
+ * Elision shifts the per-thread index (heartbeats excluded) of every
+ * later event, so a lifeguard's records on the elided stream cannot be
+ * matched with an oracle's on the full one directly. @p original_index,
+ * when non-null, receives for each output index the index of the input
+ * event it stands for (a summary stands for the first event of its
+ * run) — the map ErrorLog::remapped applies.
  */
-std::vector<Event> applyElisionPlan(const std::vector<Event> &events,
-                                    const ElisionPlan &plan,
-                                    ElisionStats *stats = nullptr);
+std::vector<Event>
+applyElisionPlan(const std::vector<Event> &events, const ElisionPlan &plan,
+                 ElisionStats *stats = nullptr,
+                 std::vector<std::uint64_t> *original_index = nullptr);
 
-/** Apply @p plan to every thread of @p trace. */
-Trace applyElisionPlan(const Trace &trace, const ElisionPlan &plan,
-                       ElisionStats *stats = nullptr);
+/** Apply @p plan to every thread of @p trace; @p original_index, when
+ *  non-null, receives one index map per thread. */
+Trace applyElisionPlan(
+    const Trace &trace, const ElisionPlan &plan,
+    ElisionStats *stats = nullptr,
+    std::vector<std::vector<std::uint64_t>> *original_index = nullptr);
 
 } // namespace bfly::staticpass
 

@@ -50,9 +50,9 @@ globalSeqStarts(const Trace &trace, std::size_t global_h,
 
 /**
  * The fromHeartbeats boundary table: block (l,t) spans the non-heartbeat
- * events between marker l-1 and marker l. Shared by EpochStream's
- * heartbeat mode so the streamed structure matches
- * EpochLayout::fromHeartbeats by construction.
+ * events between marker l-1 and marker l — the cuts HeartbeatBlocks
+ * makes, computed without copying any event, for EpochStream's
+ * heartbeat mode.
  */
 std::size_t
 heartbeatStarts(const Trace &trace,
@@ -80,8 +80,8 @@ heartbeatStarts(const Trace &trace,
  * the coalesced slicing: analyzed epoch i spans spans[i] consecutive
  * source epochs, so its block simply runs from the first merged source
  * epoch's start to the start right past the last one. Shared by
- * EpochLayout::coalescedFromHeartbeats and EpochStream's reslice path
- * so both sides realize the identical boundary table.
+ * coalescedFromHeartbeats and adopt, so the server and the reference
+ * realize the identical boundary table.
  */
 void
 coalesceStarts(std::vector<std::vector<std::size_t>> &starts,
@@ -109,76 +109,139 @@ coalesceStarts(std::vector<std::vector<std::size_t>> &starts,
     }
 }
 
+/**
+ * Consult @p reslice once per group, in leader order, over a padded
+ * boundary table of @p num_epochs source epochs, and return the merge
+ * widths it chose.
+ */
+std::vector<std::uint32_t>
+reslicedSpans(const std::vector<std::vector<std::size_t>> &starts,
+              std::size_t num_epochs, const ReslicePolicy &reslice)
+{
+    std::vector<std::size_t> epoch_events(num_epochs, 0);
+    for (const auto &s : starts)
+        for (std::size_t l = 0; l < num_epochs; ++l)
+            epoch_events[l] += s[l + 1] - s[l];
+
+    std::vector<std::uint32_t> spans;
+    std::size_t leader = 0;
+    while (leader < num_epochs) {
+        std::size_t k = reslice(leader, epoch_events);
+        k = std::clamp<std::size_t>(k, 1, num_epochs - leader);
+        spans.push_back(static_cast<std::uint32_t>(k));
+        leader += k;
+    }
+    return spans;
+}
+
+/** Every thread of @p trace cut at its markers by HeartbeatBlocks. */
+std::vector<HeartbeatBlocks>
+sliceAtHeartbeats(const Trace &trace)
+{
+    std::vector<HeartbeatBlocks> threads(trace.threads.size());
+    for (std::size_t t = 0; t < trace.threads.size(); ++t) {
+        threads[t].events.reserve(trace.threads[t].events.size());
+        for (const Event &e : trace.threads[t].events)
+            threads[t].push(e);
+    }
+    return threads;
+}
+
+/** Pad every thread's boundary table to @p num_epochs with empty blocks. */
+void
+padStarts(std::vector<std::vector<std::size_t>> &starts,
+          std::size_t num_epochs)
+{
+    for (auto &s : starts) {
+        while (s.size() < num_epochs + 1)
+            s.push_back(s.back());
+    }
+}
+
+std::vector<ThreadId>
+tidsOf(const Trace &trace)
+{
+    std::vector<ThreadId> tids;
+    tids.reserve(trace.threads.size());
+    for (const ThreadTrace &t : trace.threads)
+        tids.push_back(t.tid);
+    return tids;
+}
+
 } // namespace
 
 EpochLayout::EpochLayout(const Trace &trace, std::size_t num_epochs,
-                         std::vector<std::vector<std::size_t>> starts,
-                         std::vector<std::vector<Event>> filtered)
+                         std::vector<std::vector<std::size_t>> starts)
     : numEpochs_(num_epochs), starts_(std::move(starts)),
-      filtered_(std::move(filtered))
+      filtered_(trace.threads.size()), tids_(tidsOf(trace))
 {
-    tids_.reserve(trace.threads.size());
-    for (const ThreadTrace &t : trace.threads)
-        tids_.push_back(t.tid);
-
-    // Pad every thread to the same epoch count with empty blocks.
-    for (auto &s : starts_) {
-        while (s.size() < numEpochs_ + 1)
-            s.push_back(s.back());
+    for (std::size_t t = 0; t < trace.threads.size(); ++t) {
+        filtered_[t].reserve(trace.threads[t].events.size());
+        for (const Event &e : trace.threads[t].events)
+            if (e.kind != EventKind::Heartbeat)
+                filtered_[t].push_back(e);
     }
+    padStarts(starts_, numEpochs_);
+}
+
+EpochLayout::EpochLayout(std::vector<ThreadId> tids,
+                         std::vector<HeartbeatBlocks> threads)
+    : tids_(std::move(tids))
+{
+    starts_.reserve(threads.size());
+    filtered_.reserve(threads.size());
+    for (HeartbeatBlocks &b : threads) {
+        // Close the final (possibly heartbeat-less) block.
+        b.starts.push_back(b.events.size());
+        numEpochs_ = std::max(numEpochs_, b.starts.size() - 1);
+        starts_.push_back(std::move(b.starts));
+        filtered_.push_back(std::move(b.events));
+    }
+    padStarts(starts_, numEpochs_);
+}
+
+void
+EpochLayout::coalesce(std::span<const std::uint32_t> spans)
+{
+    coalesceStarts(starts_, numEpochs_, spans);
+    numEpochs_ = spans.size();
 }
 
 EpochLayout
 EpochLayout::fromHeartbeats(const Trace &trace)
 {
-    std::vector<std::vector<std::size_t>> starts(trace.threads.size());
-    std::vector<std::vector<Event>> filtered(trace.threads.size());
-    std::size_t max_epochs = 0;
-
-    for (std::size_t t = 0; t < trace.threads.size(); ++t) {
-        starts[t].push_back(0);
-        for (const Event &e : trace.threads[t].events) {
-            if (e.kind == EventKind::Heartbeat)
-                starts[t].push_back(filtered[t].size());
-            else
-                filtered[t].push_back(e);
-        }
-        // Close the final (possibly heartbeat-less) block.
-        starts[t].push_back(filtered[t].size());
-        max_epochs = std::max(max_epochs, starts[t].size() - 1);
-    }
-    return EpochLayout(trace, max_epochs, std::move(starts),
-                       std::move(filtered));
+    return EpochLayout(tidsOf(trace), sliceAtHeartbeats(trace));
 }
 
 EpochLayout
 EpochLayout::coalescedFromHeartbeats(const Trace &trace,
                                      std::span<const std::uint32_t> spans)
 {
-    std::vector<std::vector<std::size_t>> starts(trace.threads.size());
-    std::vector<std::vector<Event>> filtered(trace.threads.size());
-    std::size_t max_epochs = 0;
+    EpochLayout layout(tidsOf(trace), sliceAtHeartbeats(trace));
+    layout.coalesce(spans);
+    return layout;
+}
 
-    for (std::size_t t = 0; t < trace.threads.size(); ++t) {
-        starts[t].push_back(0);
-        for (const Event &e : trace.threads[t].events) {
-            if (e.kind == EventKind::Heartbeat)
-                starts[t].push_back(filtered[t].size());
-            else
-                filtered[t].push_back(e);
-        }
-        starts[t].push_back(filtered[t].size());
-        max_epochs = std::max(max_epochs, starts[t].size() - 1);
+EpochLayout
+EpochLayout::adopt(std::vector<HeartbeatBlocks> threads,
+                   const ReslicePolicy &reslice,
+                   std::vector<std::uint32_t> *realized_spans)
+{
+    std::vector<ThreadId> tids(threads.size());
+    for (std::size_t t = 0; t < tids.size(); ++t)
+        tids[t] = static_cast<ThreadId>(t);
+    EpochLayout layout(std::move(tids), std::move(threads));
+    if (reslice && layout.numEpochs_ > 0) {
+        // Merging whole source epochs keeps every realized boundary a
+        // heartbeat boundary, so the 3-epoch window invariants hold on
+        // the coarsened slicing exactly as on the source slicing.
+        std::vector<std::uint32_t> spans =
+            reslicedSpans(layout.starts_, layout.numEpochs_, reslice);
+        layout.coalesce(spans);
+        if (realized_spans)
+            *realized_spans = std::move(spans);
     }
-    // The coalescing transform needs the padded table (the private
-    // constructor would normally pad after the fact).
-    for (auto &s : starts) {
-        while (s.size() < max_epochs + 1)
-            s.push_back(s.back());
-    }
-    coalesceStarts(starts, max_epochs, spans);
-    return EpochLayout(trace, spans.size(), std::move(starts),
-                       std::move(filtered));
+    return layout;
 }
 
 EpochLayout
@@ -186,15 +249,10 @@ EpochLayout::uniform(const Trace &trace, std::size_t h)
 {
     ensure(h > 0, "uniform epoch size must be positive");
     std::vector<std::vector<std::size_t>> starts(trace.threads.size());
-    std::vector<std::vector<Event>> filtered(trace.threads.size());
     std::size_t max_epochs = 0;
 
     for (std::size_t t = 0; t < trace.threads.size(); ++t) {
-        for (const Event &e : trace.threads[t].events) {
-            if (e.kind != EventKind::Heartbeat)
-                filtered[t].push_back(e);
-        }
-        const std::size_t n = filtered[t].size();
+        const std::size_t n = trace.threads[t].instructionCount();
         for (std::size_t pos = 0; ; pos += h) {
             starts[t].push_back(std::min(pos, n));
             if (pos >= n)
@@ -202,8 +260,7 @@ EpochLayout::uniform(const Trace &trace, std::size_t h)
         }
         max_epochs = std::max(max_epochs, starts[t].size() - 1);
     }
-    return EpochLayout(trace, max_epochs, std::move(starts),
-                       std::move(filtered));
+    return EpochLayout(trace, max_epochs, std::move(starts));
 }
 
 EpochLayout
@@ -211,16 +268,7 @@ EpochLayout::byGlobalSeq(const Trace &trace, std::size_t global_h)
 {
     std::vector<std::vector<std::size_t>> starts;
     const std::size_t max_epochs = globalSeqStarts(trace, global_h, starts);
-
-    std::vector<std::vector<Event>> filtered(trace.threads.size());
-    for (std::size_t t = 0; t < trace.threads.size(); ++t) {
-        for (const Event &e : trace.threads[t].events) {
-            if (e.kind != EventKind::Heartbeat)
-                filtered[t].push_back(e);
-        }
-    }
-    return EpochLayout(trace, max_epochs, std::move(starts),
-                       std::move(filtered));
+    return EpochLayout(trace, max_epochs, std::move(starts));
 }
 
 EpochLayout
@@ -242,14 +290,9 @@ EpochLayout::byGlobalSeqSkewed(const Trace &trace, std::size_t global_h,
     };
 
     std::vector<std::vector<std::size_t>> starts(trace.threads.size());
-    std::vector<std::vector<Event>> filtered(trace.threads.size());
     std::size_t max_epochs = 0;
 
     for (std::size_t t = 0; t < trace.threads.size(); ++t) {
-        for (const Event &e : trace.threads[t].events) {
-            if (e.kind != EventKind::Heartbeat)
-                filtered[t].push_back(e);
-        }
         starts[t].push_back(0);
         EpochId current = 0;
         // Boundary of epoch k at thread t: heartbeat k's nominal time
@@ -258,19 +301,30 @@ EpochLayout::byGlobalSeqSkewed(const Trace &trace, std::size_t global_h,
             return static_cast<std::uint64_t>(k) * global_h +
                    skew_of(t, k);
         };
-        for (std::size_t i = 0; i < filtered[t].size(); ++i) {
-            const std::uint64_t g =
-                filtered[t][i].gseq > 0 ? filtered[t][i].gseq - 1 : 0;
+        std::size_t i = 0; // heartbeats excluded
+        for (const Event &e : trace.threads[t].events) {
+            if (e.kind == EventKind::Heartbeat)
+                continue;
+            const std::uint64_t g = e.gseq > 0 ? e.gseq - 1 : 0;
             while (g >= boundary(current + 1)) {
                 starts[t].push_back(i);
                 ++current;
             }
+            ++i;
         }
-        starts[t].push_back(filtered[t].size());
+        starts[t].push_back(i);
         max_epochs = std::max(max_epochs, starts[t].size() - 1);
     }
-    return EpochLayout(trace, max_epochs, std::move(starts),
-                       std::move(filtered));
+    return EpochLayout(trace, max_epochs, std::move(starts));
+}
+
+std::size_t
+EpochLayout::instructionCount() const
+{
+    std::size_t n = 0;
+    for (const auto &events : filtered_)
+        n += events.size();
+    return n;
 }
 
 BlockView
@@ -287,16 +341,6 @@ EpochLayout::block(EpochId l, ThreadId t) const
         begin};
 }
 
-std::vector<BlockView>
-EpochLayout::epoch(EpochId l) const
-{
-    std::vector<BlockView> blocks;
-    blocks.reserve(starts_.size());
-    for (ThreadId t = 0; t < starts_.size(); ++t)
-        blocks.push_back(block(l, t));
-    return blocks;
-}
-
 EpochStream::EpochStream(const Trace &trace, Config config)
     : trace_(trace), backPressure_(config.backPressure)
 {
@@ -307,41 +351,9 @@ EpochStream::EpochStream(const Trace &trace, Config config)
                      ? heartbeatStarts(trace, starts_)
                      : globalSeqStarts(trace, config.globalH, starts_);
 
-    // Pad every thread's boundary table to the same epoch count, exactly
-    // as the EpochLayout constructor does.
-    for (auto &s : starts_) {
-        while (s.size() < numEpochs_ + 1)
-            s.push_back(s.back());
-    }
-    sourceEpochs_ = numEpochs_;
-
-    if (config.reslice && numEpochs_ > 0) {
-        // Consult the policy once per group, in leader order. Each call
-        // may sample live pressure, so the merge width can change from
-        // group to group — the "h changes mid-stream" the adaptive
-        // service advertises via EpochHint frames. Merging whole source
-        // epochs keeps every realized boundary a heartbeat boundary, so
-        // the 3-epoch window invariants hold on the coarsened slicing
-        // exactly as they did on the source slicing.
-        std::vector<std::size_t> epoch_events(numEpochs_, 0);
-        for (const auto &s : starts_)
-            for (std::size_t l = 0; l < numEpochs_; ++l)
-                epoch_events[l] += s[l + 1] - s[l];
-
-        std::size_t leader = 0;
-        while (leader < numEpochs_) {
-            std::size_t k = config.reslice(leader, epoch_events);
-            k = std::clamp<std::size_t>(k, 1, numEpochs_ - leader);
-            spans_.push_back(static_cast<std::uint32_t>(k));
-            leader += k;
-        }
-        coalesceStarts(starts_, numEpochs_, spans_);
-        numEpochs_ = spans_.size();
-    }
-
-    tids_.reserve(trace.threads.size());
-    for (const ThreadTrace &t : trace.threads)
-        tids_.push_back(t.tid);
+    // Pad exactly as the EpochLayout constructors do.
+    padStarts(starts_, numEpochs_);
+    tids_ = tidsOf(trace);
 
     const std::size_t T = trace.threads.size();
     cells_.resize(config.windowEpochs);
@@ -396,13 +408,7 @@ EpochStream::acquire(EpochId l)
     cell.epoch = l;
     ++nextAcquire_;
 
-    const std::size_t now =
-        resident_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    std::size_t peak = peakResident_.load(std::memory_order_relaxed);
-    while (now > peak &&
-           !peakResident_.compare_exchange_weak(peak, now,
-                                                std::memory_order_acq_rel))
-        ;
+    peakResident_ = std::max(peakResident_, ++resident_);
 }
 
 BlockView
@@ -429,7 +435,7 @@ EpochStream::retire(EpochId l)
     for (auto &v : cell.events)
         v.clear();
     ++nextRetire_;
-    resident_.fetch_sub(1, std::memory_order_acq_rel);
+    --resident_;
 }
 
 std::uint64_t

@@ -12,17 +12,18 @@
  *  - uniform mode: cut every h instructions, used when a trace was produced
  *    without embedded markers.
  *
- * Two consumers exist for the epoch structure: EpochLayout materializes
- * the whole trace up front (oracles, the perf model, the barrier
- * schedule), while EpochStream slices the same boundaries incrementally
- * into a bounded ring so the pipelined schedule keeps only O(window)
- * epochs of events resident no matter how long the trace is.
+ * Two consumers exist for the epoch structure: EpochLayout holds the
+ * whole trace (oracles, the perf model, the reference loop and the
+ * monitoring service, which decodes a session's log straight into the
+ * layout's storage through HeartbeatBlocks), while EpochStream slices
+ * the same boundaries incrementally into a bounded ring so a streamed
+ * run keeps only O(window) epochs of events resident no matter how long
+ * the trace is.
  */
 
 #ifndef BUTTERFLY_TRACE_EPOCH_SLICER_HPP
 #define BUTTERFLY_TRACE_EPOCH_SLICER_HPP
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -51,6 +52,49 @@ struct BlockView
 
     std::size_t size() const { return events.size(); }
     bool empty() const { return events.empty(); }
+};
+
+/**
+ * Decides, for the analyzed epoch whose first source epoch is @p leader,
+ * how many consecutive source epochs to merge into it (adaptive epoch
+ * sizing). @p epoch_events holds the per-source-epoch event counts
+ * (summed over threads) so size-targeting policies can look ahead.
+ * Return values are clamped to [1, epoch_events.size() - leader]; the
+ * policy is consulted once per group, in leader order (EpochLayout::
+ * adopt) — each call may sample live telemetry, so the realized slicing
+ * can vary group by group within one session.
+ */
+using ReslicePolicy = std::function<std::size_t(
+    EpochId leader, std::span<const std::size_t> epoch_events)>;
+
+/**
+ * One thread's log cut at its Heartbeat markers as the events arrive:
+ * each marker closes a block, every other event is kept. This is the one
+ * heartbeat slicer. EpochLayout::fromHeartbeats feeds whole traces
+ * through it, and the monitoring service's decoder feeds it straight
+ * from the wire (ChunkedLogDecoder::decodeChunk), after which
+ * EpochLayout::adopt takes the storage over without a copy.
+ */
+struct HeartbeatBlocks
+{
+    /** The thread's events, heartbeats excluded. */
+    std::vector<Event> events;
+    /** starts[l] = index in events of block l's first event; the last
+     *  block stays open until the layout adopts the thread. */
+    std::vector<std::size_t> starts{0};
+    /** SiteSummary events among events (the service echoes the count). */
+    std::uint64_t summaries = 0;
+
+    void
+    push(const Event &e)
+    {
+        if (e.kind == EventKind::Heartbeat) {
+            starts.push_back(events.size());
+            return;
+        }
+        summaries += e.kind == EventKind::SiteSummary;
+        events.push_back(e);
+    }
 };
 
 /**
@@ -105,9 +149,9 @@ class EpochLayout
      * The heartbeat slicing of @p trace coarsened by @p spans: analyzed
      * epoch i merges spans[i] consecutive source (marker-delimited)
      * epochs, so sum(spans) must equal the marker epoch count. This is
-     * the reference layout for an adaptive EpochStream run: rebuilding
-     * it from the stream's realizedSpans() yields the exact boundary
-     * table the stream analyzed, making remote and reference reports
+     * the reference layout for an adaptive session: rebuilding it from
+     * the spans adopt() realized yields the exact boundary table the
+     * server analyzed, making remote and reference reports
      * bit-identical by construction. Merging markers only coarsens the
      * epoch structure (equivalent to the platform skipping heartbeats),
      * which is the butterfly's conservative direction — a merged
@@ -117,14 +161,27 @@ class EpochLayout
     coalescedFromHeartbeats(const Trace &trace,
                             std::span<const std::uint32_t> spans);
 
+    /**
+     * The layout of per-thread blocks sliced as they were decoded
+     * (thread t gets tid t), taking their storage over without a copy.
+     * With @p reslice, source epochs are merged group by group and
+     * @p realized_spans (if non-null) receives the merge widths, so
+     * coalescedFromHeartbeats of the marked trace rebuilds the same
+     * layout.
+     */
+    static EpochLayout
+    adopt(std::vector<HeartbeatBlocks> threads,
+          const ReslicePolicy &reslice = {},
+          std::vector<std::uint32_t> *realized_spans = nullptr);
+
     std::size_t numEpochs() const { return numEpochs_; }
     std::size_t numThreads() const { return starts_.size(); }
 
+    /** Events over all threads, heartbeats excluded. */
+    std::size_t instructionCount() const;
+
     /** The block (l, t). Heartbeat markers are excluded from the view. */
     BlockView block(EpochId l, ThreadId t) const;
-
-    /** All blocks of epoch l, indexed by thread. */
-    std::vector<BlockView> epoch(EpochId l) const;
 
     /**
      * Per-thread instruction index (heartbeats excluded) of instruction
@@ -138,9 +195,14 @@ class EpochLayout
     }
 
   private:
+    /** Copies @p trace's events, heartbeats excluded, under @p starts. */
     EpochLayout(const Trace &trace, std::size_t num_epochs,
-                std::vector<std::vector<std::size_t>> starts,
-                std::vector<std::vector<Event>> filtered);
+                std::vector<std::vector<std::size_t>> starts);
+    EpochLayout(std::vector<ThreadId> tids,
+                std::vector<HeartbeatBlocks> threads);
+
+    /** Merge consecutive source epochs: epoch i becomes spans[i] of them. */
+    void coalesce(std::span<const std::uint32_t> spans);
 
     std::size_t numEpochs_ = 0;
     /** starts_[t][l] = index of block (l,t)'s first event in filtered_[t]. */
@@ -157,36 +219,19 @@ class EpochLayout
  * when an epoch is acquired and freed when it is retired — resident
  * event memory is O(windowEpochs), independent of trace length.
  *
- * The pipelined window schedule acquires epochs in order as its task
- * graph admits them and retires each epoch once every task reading its
- * events has completed. An optional LogBuffer models the back-pressure
- * the bounded window exerts on the logging platform: each event of an
- * epoch is produced into the buffer before admission and consumed at
- * admission, so epochs larger than the buffer surface producer stalls
- * exactly where the LBA hardware would stall the application core.
+ * WindowSchedule::runPipelined acquires epoch l, runs its pass 1, settles
+ * epoch l-1 and retires it, so at most two epochs are resident at once.
+ * An optional LogBuffer models the back-pressure the bounded window
+ * exerts on the logging platform: each event of an epoch is produced
+ * into the buffer before admission and consumed at admission, so epochs
+ * larger than the buffer surface producer stalls exactly where the LBA
+ * hardware would stall the application core.
  *
- * acquire() calls must be in epoch order (the task graph's admission
- * chain is totally ordered); retire() calls must also be in order.
- * block() is safe to call concurrently with acquire()/retire() of
- * *other* epochs — the ring cells are disjoint and the schedule orders
- * cell reuse behind retirement.
+ * acquire() and retire() calls must each be in epoch order.
  */
 class EpochStream
 {
   public:
-    /**
-     * Decides, for the analyzed epoch whose first source epoch is
-     * @p leader, how many consecutive source epochs to merge into it.
-     * @p epoch_events holds the per-source-epoch event counts (summed
-     * over threads) so size-targeting policies can look ahead. Return
-     * values are clamped to [1, epoch_events.size() - leader]; the
-     * policy is consulted once per group, in leader order, when the
-     * stream is constructed — each call may sample live telemetry, so
-     * the realized slicing can vary group by group within one stream.
-     */
-    using ReslicePolicy = std::function<std::size_t(
-        EpochId leader, std::span<const std::size_t> epoch_events)>;
-
     struct Config
     {
         /** Events per epoch across all threads (byGlobalSeq's H).
@@ -206,34 +251,11 @@ class EpochStream
          * the logging platform embedded.
          */
         bool fromHeartbeats = false;
-        /**
-         * Optional coalescing policy (adaptive epoch sizing). When set,
-         * the marker-delimited source epochs are merged into coarser
-         * analyzed epochs group by group; numEpochs() then reports the
-         * realized (merged) count and realizedSpans() records the
-         * per-epoch merge widths so a bit-identical reference layout
-         * can be rebuilt with EpochLayout::coalescedFromHeartbeats.
-         * Null (the default) keeps the source slicing untouched.
-         */
-        ReslicePolicy reslice;
     };
 
     EpochStream(const Trace &trace, Config config);
 
     std::size_t numEpochs() const { return numEpochs_; }
-
-    /** Marker-delimited epoch count before any coalescing. */
-    std::size_t sourceEpochs() const { return sourceEpochs_; }
-
-    /**
-     * Per-analyzed-epoch source spans chosen by Config::reslice, in
-     * epoch order; sums to sourceEpochs(). Empty when no policy ran
-     * (the realized slicing is then the source slicing).
-     */
-    const std::vector<std::uint32_t> &realizedSpans() const
-    {
-        return spans_;
-    }
     std::size_t numThreads() const { return starts_.size(); }
     std::size_t windowEpochs() const { return cells_.size(); }
 
@@ -247,16 +269,10 @@ class EpochStream
     /** Release epoch l's ring cell. @pre l is the oldest resident epoch. */
     void retire(EpochId l);
 
-    std::size_t residentEpochs() const
-    {
-        return resident_.load(std::memory_order_acquire);
-    }
+    std::size_t residentEpochs() const { return resident_; }
 
     /** High-water mark of simultaneously resident epochs. */
-    std::size_t peakResidentEpochs() const
-    {
-        return peakResident_.load(std::memory_order_acquire);
-    }
+    std::size_t peakResidentEpochs() const { return peakResident_; }
 
     /** Producer stalls recorded in the back-pressure buffer (0 if none). */
     std::uint64_t producerStalls() const;
@@ -275,8 +291,6 @@ class EpochStream
 
     const Trace &trace_;
     std::size_t numEpochs_ = 0;
-    std::size_t sourceEpochs_ = 0;
-    std::vector<std::uint32_t> spans_;
     /** Same boundary table as EpochLayout::byGlobalSeq. */
     std::vector<std::vector<std::size_t>> starts_;
     std::vector<ThreadId> tids_;
@@ -288,8 +302,8 @@ class EpochStream
     EpochId nextAcquire_ = 0;
     EpochId nextRetire_ = 0;
 
-    std::atomic<std::size_t> resident_{0};
-    std::atomic<std::size_t> peakResident_{0};
+    std::size_t resident_ = 0;
+    std::size_t peakResident_ = 0;
     LogBuffer *backPressure_ = nullptr;
 };
 

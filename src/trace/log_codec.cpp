@@ -1,5 +1,7 @@
 #include "trace/log_codec.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 
 namespace bfly {
@@ -78,8 +80,9 @@ LogEncoder::putVarint(std::uint64_t v)
 void
 LogEncoder::putSignedDelta(Addr addr)
 {
-    const std::int64_t delta = static_cast<std::int64_t>(addr) -
-                               static_cast<std::int64_t>(lastAddr_);
+    // Wrapping (unsigned) difference: a jump across half the address
+    // space must not overflow a signed subtraction.
+    const auto delta = static_cast<std::int64_t>(addr - lastAddr_);
     putVarint(zigzag(delta));
     lastAddr_ = addr;
 }
@@ -161,8 +164,7 @@ LogDecoder::getSignedDelta(Addr &out)
     const DecodeStatus status = getVarint(raw);
     if (status != DecodeStatus::Ok)
         return status;
-    lastAddr_ = static_cast<Addr>(static_cast<std::int64_t>(lastAddr_) +
-                                  unzigzag(raw));
+    lastAddr_ += static_cast<Addr>(unzigzag(raw)); // wraps, as encoded
     out = lastAddr_;
     return DecodeStatus::Ok;
 }
@@ -265,6 +267,83 @@ LogDecoder::decode()
 
 // --------------------------------------------------------- ChunkedLogDecoder
 
+template <typename Sink>
+DecodeStatus
+ChunkedLogDecoder::decodeRun(std::span<const std::uint8_t> bytes,
+                             std::size_t stop, Sink &&sink,
+                             std::size_t &used)
+{
+    LogDecoder dec(bytes);
+    dec.restore(lastAddr_);
+    DecodeStatus status = DecodeStatus::NeedMore;
+    std::size_t n = 0;
+    Event e;
+    while (dec.pos() < stop) {
+        status = dec.tryDecode(e);
+        if (status != DecodeStatus::Ok)
+            break;
+        ++n;
+        if (!sink(e))
+            break;
+    }
+    used = dec.pos();
+    lastAddr_ = dec.lastAddr();
+    eventsDecoded_ += n;
+    if (status == DecodeStatus::Corrupt)
+        corrupt_ = true;
+    return status;
+}
+
+DecodeStatus
+ChunkedLogDecoder::decodeChunk(std::span<const std::uint8_t> bytes,
+                               HeartbeatBlocks &out)
+{
+    if (corrupt_)
+        return DecodeStatus::Corrupt;
+    const auto push = [&out](const Event &e) {
+        out.push(e);
+        return true;
+    };
+    // No event is shorter than a byte: reserve the chunk's worst case
+    // up front (at least doubling), so a session's vectors skip the
+    // small early reallocations. Growing 4x measured no faster end to
+    // end and held more resident memory (EXPERIMENTS.md).
+    const std::size_t need = out.events.size() + bytes.size();
+    if (need > out.events.capacity())
+        out.events.reserve(std::max(need, 2 * out.events.capacity()));
+    std::size_t used = 0;
+    if (pendingBytes() > 0) {
+        // Finish every event that starts in the buffer. None is longer
+        // than kMaxEventBytes, so that much of the chunk completes the
+        // one straddling the seam.
+        const std::size_t seam = buffer_.size();
+        const std::size_t stitched = std::min(bytes.size(), kMaxEventBytes);
+        buffer_.insert(buffer_.end(), bytes.begin(),
+                       bytes.begin() +
+                           static_cast<std::ptrdiff_t>(stitched));
+        const DecodeStatus status = decodeRun(
+            std::span<const std::uint8_t>(buffer_).subspan(consumed_),
+            seam - consumed_, push, used);
+        consumed_ += used;
+        if (status != DecodeStatus::Ok) {
+            // Still partial (or corrupt): the whole chunk waits behind
+            // the tail, as feed() would have left it.
+            buffer_.insert(buffer_.end(),
+                           bytes.begin() +
+                               static_cast<std::ptrdiff_t>(stitched),
+                           bytes.end());
+            return status;
+        }
+        bytes = bytes.subspan(consumed_ - seam);
+    }
+    const DecodeStatus status = decodeRun(bytes, bytes.size(), push, used);
+    buffer_.assign(bytes.begin() + static_cast<std::ptrdiff_t>(used),
+                   bytes.end());
+    consumed_ = 0;
+    return status == DecodeStatus::Corrupt ? status
+                                           : DecodeStatus::NeedMore;
+}
+
 void
 ChunkedLogDecoder::feed(std::span<const std::uint8_t> bytes)
 {
@@ -284,23 +363,58 @@ ChunkedLogDecoder::next(Event &out)
 {
     if (corrupt_)
         return DecodeStatus::Corrupt;
-    LogDecoder dec(std::span<const std::uint8_t>(buffer_.data() + consumed_,
-                                                 buffer_.size() - consumed_));
-    dec.restore(lastAddr_);
-    const DecodeStatus status = dec.tryDecode(out);
-    switch (status) {
-      case DecodeStatus::Ok:
-        consumed_ += dec.pos();
-        lastAddr_ = dec.lastAddr();
-        ++eventsDecoded_;
-        break;
-      case DecodeStatus::Corrupt:
-        corrupt_ = true;
-        break;
-      case DecodeStatus::NeedMore:
-        break;
-    }
+    std::size_t used = 0;
+    const DecodeStatus status = decodeRun(
+        std::span<const std::uint8_t>(buffer_).subspan(consumed_),
+        pendingBytes(),
+        [&out](const Event &e) {
+            out = e;
+            return false;
+        },
+        used);
+    consumed_ += used;
     return status;
+}
+
+// --------------------------------------------------------------- BlockIngest
+
+namespace {
+
+template <typename T, typename Fn>
+std::size_t
+sumOver(const std::vector<T> &items, Fn &&fn)
+{
+    std::size_t n = 0;
+    for (const T &item : items)
+        n += fn(item);
+    return n;
+}
+
+} // namespace
+
+std::size_t
+BlockIngest::eventsDecoded() const
+{
+    return sumOver(decoders_, [](auto &d) { return d.eventsDecoded(); });
+}
+
+std::uint64_t
+BlockIngest::summaryEvents() const
+{
+    return sumOver(blocks_, [](auto &b) { return b.summaries; });
+}
+
+std::size_t
+BlockIngest::pendingBytes() const
+{
+    return sumOver(decoders_, [](auto &d) { return d.pendingBytes(); });
+}
+
+EpochLayout
+BlockIngest::layout(const ReslicePolicy &reslice,
+                    std::vector<std::uint32_t> *realized_spans) &&
+{
+    return EpochLayout::adopt(std::move(blocks_), reslice, realized_spans);
 }
 
 std::vector<std::uint8_t>

@@ -124,14 +124,30 @@ class LogDecoder
 
 /**
  * Incremental decoder over a stream delivered in arbitrary chunks (wire
- * frames may split an event mid-varint). feed() appends bytes; next()
- * yields events until the buffered tail is a partial event (NeedMore) or
- * the stream is structurally invalid (Corrupt — sticky: a corrupt stream
- * never recovers, matching the wire protocol's drop-session policy).
+ * frames may split an event mid-varint). decodeChunk() decodes every
+ * event a chunk completes in one loop; feed() + next() is the same loop
+ * one event at a time. A partial trailing event waits in pendingBytes()
+ * for the next chunk (NeedMore); a structurally invalid stream is
+ * Corrupt — sticky: a corrupt stream never recovers, matching the wire
+ * protocol's drop-session policy.
  */
 class ChunkedLogDecoder
 {
   public:
+    /** Longest encoded event: an opcode plus four 10-byte varints (an
+     *  overlong varint is read in full before it is rejected). */
+    static constexpr std::size_t kMaxEventBytes = 41;
+
+    /**
+     * Decode every event @p bytes completes into @p out and keep only
+     * the partial tail, if any. Without a pending tail the events are
+     * decoded straight out of @p bytes; with one, just enough of the
+     * chunk is copied behind it to finish it.
+     * @return NeedMore once every complete event is out, or Corrupt.
+     */
+    DecodeStatus decodeChunk(std::span<const std::uint8_t> bytes,
+                             HeartbeatBlocks &out);
+
     /** Append a chunk of encoded bytes to the pending buffer. */
     void feed(std::span<const std::uint8_t> bytes);
 
@@ -145,11 +161,58 @@ class ChunkedLogDecoder
     std::size_t pendingBytes() const { return buffer_.size() - consumed_; }
 
   private:
+    /** The one decode loop: events of @p bytes that start before
+     *  @p stop go to @p sink until it returns false; the cursor (into
+     *  @p used) and the delta base are committed once, at the end. */
+    template <typename Sink>
+    DecodeStatus decodeRun(std::span<const std::uint8_t> bytes,
+                           std::size_t stop, Sink &&sink,
+                           std::size_t &used);
+
     std::vector<std::uint8_t> buffer_;
     std::size_t consumed_ = 0;      ///< prefix already decoded
     Addr lastAddr_ = 0;             ///< delta base across chunks
     std::size_t eventsDecoded_ = 0;
     bool corrupt_ = false;
+};
+
+/**
+ * A session's per-thread logs decoded straight into epoch blocks: each
+ * chunk goes through its thread's ChunkedLogDecoder into that thread's
+ * HeartbeatBlocks in one pass, and layout() hands the decoded storage
+ * to EpochLayout::adopt without a copy.
+ */
+class BlockIngest
+{
+  public:
+    explicit BlockIngest(std::size_t threads = 0)
+        : decoders_(threads), blocks_(threads)
+    {}
+
+    /** Decode one chunk of thread @p t's log (see decodeChunk). */
+    DecodeStatus
+    feed(ThreadId t, std::span<const std::uint8_t> bytes)
+    {
+        return decoders_[t].decodeChunk(bytes, blocks_[t]);
+    }
+
+    /** Events decoded over all threads, heartbeats included. */
+    std::size_t eventsDecoded() const;
+
+    /** SiteSummary events decoded over all threads. */
+    std::uint64_t summaryEvents() const;
+
+    /** Bytes of partial events still waiting for more of their log. */
+    std::size_t pendingBytes() const;
+
+    /** The decoded epochs (consumes the ingest; see EpochLayout::adopt). */
+    EpochLayout layout(const ReslicePolicy &reslice = {},
+                       std::vector<std::uint32_t> *realized_spans =
+                           nullptr) &&;
+
+  private:
+    std::vector<ChunkedLogDecoder> decoders_;
+    std::vector<HeartbeatBlocks> blocks_;
 };
 
 /** Encode a whole thread trace; convenience for tests and tools. */

@@ -14,7 +14,6 @@
 #include <tuple>
 
 #include "butterfly/window.hpp"
-#include "common/worker_pool.hpp"
 #include "lifeguards/addrcheck.hpp"
 #include "lifeguards/addrcheck_oracle.hpp"
 #include "memmodel/interleaver.hpp"
@@ -217,14 +216,12 @@ TEST(AddrCheck, ParallelPassesMatchSequential)
     ButterflyAddrCheck seq(layout, cfg);
     WindowSchedule().run(layout, seq);
 
-    // The parallel path: block passes as tasks on a pool, over a stream
-    // cut at the same epoch boundaries.
-    WorkerPool pool(4);
+    // The streamed path, over a stream cut at the same epoch boundaries.
     EpochStream::Config scfg;
     scfg.globalH = H;
     EpochStream stream(trace, scfg);
     ButterflyAddrCheck par(stream.numThreads(), cfg);
-    WindowSchedule(&pool).runPipelined(stream, par);
+    WindowSchedule().runPipelined(stream, par);
 
     auto records = [](const ErrorLog &log) {
         std::vector<std::tuple<ThreadId, std::uint64_t, Addr, int>> out;

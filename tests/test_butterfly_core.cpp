@@ -6,13 +6,11 @@
  * (Section 4.3's four steps).
  */
 
-#include <algorithm>
-#include <mutex>
-
 #include <gtest/gtest.h>
 
 #include "butterfly/ids.hpp"
 #include "butterfly/window.hpp"
+#include "common/worker_pool.hpp"
 #include "tests/helpers.hpp"
 
 namespace bfly {
@@ -168,10 +166,8 @@ TEST(WindowSchedule, EmptyTraceIsANoOp)
 
 TEST(WindowSchedule, PipelinedKeepsWindowOrder)
 {
-    // On the pipelined task graph the call order across threads is
-    // arbitrary, but the window order must hold: every p1 of epoch l
-    // and every p2 of epoch l-1 precede fin(l-1), which precedes every
-    // p2 of epoch l.
+    // The streamed loop admits and retires epochs around the same steps:
+    // its hook calls are exactly the reference loop's, in the same order.
     std::vector<Event> prog = {Event::nop(), Event::heartbeat(),
                                Event::nop()};
     Trace trace = test::traceOf({prog, prog, prog});
@@ -179,47 +175,14 @@ TEST(WindowSchedule, PipelinedKeepsWindowOrder)
     cfg.fromHeartbeats = true;
     EpochStream stream(trace, cfg);
 
-    // RecordingDriver is not thread-safe; serialize with a mutex.
-    class LockedDriver : public RecordingDriver
-    {
-      public:
-        std::mutex m;
-        void
-        pass1(const BlockView &b) override
-        {
-            std::lock_guard<std::mutex> g(m);
-            RecordingDriver::pass1(b);
-        }
-        void
-        pass2(const BlockView &b) override
-        {
-            std::lock_guard<std::mutex> g(m);
-            RecordingDriver::pass2(b);
-        }
-        void
-        finalizeEpoch(EpochId l) override
-        {
-            std::lock_guard<std::mutex> g(m);
-            RecordingDriver::finalizeEpoch(l);
-        }
-    };
-    LockedDriver driver;
-    WorkerPool pool(3);
-    WindowSchedule(&pool).runPipelined(stream, driver);
+    RecordingDriver reference;
+    WindowSchedule().run(EpochLayout::fromHeartbeats(trace), reference);
+    RecordingDriver driver;
+    WindowSchedule().runPipelined(stream, driver);
 
     ASSERT_EQ(driver.calls.size(), 3u * 2 + 3 * 2 + 2);
-    auto index_of = [&](const std::string &s) {
-        return std::find(driver.calls.begin(), driver.calls.end(), s) -
-               driver.calls.begin();
-    };
-    for (int t = 0; t < 3; ++t) {
-        EXPECT_LT(index_of("p1(1," + std::to_string(t) + ")"),
-                  index_of("fin(0)"));
-        EXPECT_LT(index_of("p2(0," + std::to_string(t) + ")"),
-                  index_of("fin(0)"));
-        EXPECT_LT(index_of("fin(0)"),
-                  index_of("p2(1," + std::to_string(t) + ")"));
-    }
+    EXPECT_EQ(driver.calls, reference.calls);
+    EXPECT_EQ(stream.residentEpochs(), 0u);
 }
 
 } // namespace

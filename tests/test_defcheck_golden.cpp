@@ -21,7 +21,6 @@
 #include <string>
 
 #include "butterfly/window.hpp"
-#include "common/worker_pool.hpp"
 #include "fuzz/trace_fuzzer.hpp"
 #include "lifeguards/defcheck.hpp"
 #include "memmodel/interleaver.hpp"
@@ -86,7 +85,7 @@ specOf(const Trace &trace, Addr heap_base, Addr heap_limit,
 /** Run DEFINEDCHECK over one session in @p mode and collect its row. */
 Golden
 observe(const service::SessionSpec &spec, const Trace &trace,
-        const EpochLayout &layout, const Mode &mode, WorkerPool &pool)
+        const EpochLayout &layout, const Mode &mode)
 {
     // The pipelined runs stream the same epochs, cut at heartbeat
     // markers placed on the layout's boundaries.
@@ -94,7 +93,7 @@ observe(const service::SessionSpec &spec, const Trace &trace,
     Golden g{};
     g.fingerprint =
         mode.pipelined
-            ? service::analyzeStreaming(spec, marked, pool).fingerprint
+            ? service::analyzeStreaming(spec, marked).fingerprint
             : service::analyzeReference(spec, trace, layout).fingerprint;
 
     DefCheckConfig cfg;
@@ -106,7 +105,7 @@ observe(const service::SessionSpec &spec, const Trace &trace,
         EpochStream::Config scfg;
         scfg.fromHeartbeats = true;
         EpochStream stream(marked, scfg);
-        WindowSchedule(&pool).runPipelined(stream, check);
+        WindowSchedule().runPipelined(stream, check);
     } else {
         WindowSchedule().run(layout, check);
     }
@@ -128,14 +127,8 @@ expectAllModes(const service::SessionSpec &spec, const Trace &trace,
                const EpochLayout &layout, const Golden &want,
                const std::string &label)
 {
-    WorkerPool pool(4);
     for (const Mode &mode : kModes) {
-        Golden got = observe(spec, trace, layout, mode, pool);
-        // The pipelined schedule commits blocks as they finish, so its
-        // log order is not deterministic; the fingerprint still covers
-        // its records.
-        if (mode.pipelined)
-            got.order = want.order;
+        Golden got = observe(spec, trace, layout, mode);
         EXPECT_TRUE(got == want)
             << label << " [" << mode.name << "]: observed " << row(got);
     }

@@ -1,13 +1,13 @@
 /**
  * @file
- * Tests for the adaptive epoch controller and the EpochStream re-slice
- * seam: every rung of the degradation ladder (table-driven), hysteresis
- * asymmetry and no-oscillation guarantees under steady and noisy load,
- * and the construction-time coalescing invariants — realized spans
- * partition the source epochs, streamed blocks are bit-identical to
- * EpochLayout::coalescedFromHeartbeats over the same spans (including
- * duplicate and out-of-order heartbeats straddling a re-slice
- * boundary), and a full analyzeStreaming run under a forced h-cycle
+ * Tests for the adaptive epoch controller and the re-slice of adopted
+ * blocks: every rung of the degradation ladder (table-driven),
+ * hysteresis asymmetry and no-oscillation guarantees under steady and
+ * noisy load, and the coalescing invariants of EpochLayout::adopt —
+ * realized spans partition the source epochs, adopted blocks are
+ * bit-identical to EpochLayout::coalescedFromHeartbeats over the same
+ * spans (including duplicate and out-of-order heartbeats straddling a
+ * re-slice boundary), and a full analysis under a forced h-cycle
  * reproduces the coalesced reference report exactly.
  */
 
@@ -17,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/worker_pool.hpp"
 #include "service/analyzer.hpp"
 #include "service/epoch_controller.hpp"
 #include "trace/epoch_slicer.hpp"
@@ -208,7 +207,7 @@ TEST(EpochController, DegradeLevelNamesAreStable)
     EXPECT_STREQ(degradeLevelName(DegradeLevel::Shed), "shed");
 }
 
-// ------------------------------------------------ EpochStream re-slice
+// ------------------------------------------- re-slice of adopted blocks
 
 /** Marked trace whose threads carry *different* marker counts —
  *  duplicate (adjacent) heartbeats in one thread, a leading heartbeat
@@ -243,84 +242,88 @@ makeSkewedMarkedTrace(unsigned source_epochs)
     return trace;
 }
 
-TEST(EpochStreamReslice, SpansPartitionTheSourceEpochs)
+/** @p trace's threads cut at their markers, as the server decodes them. */
+std::vector<HeartbeatBlocks>
+blocksOf(const Trace &trace)
+{
+    std::vector<HeartbeatBlocks> blocks(trace.numThreads());
+    for (ThreadId t = 0; t < trace.numThreads(); ++t)
+        for (const Event &e : trace.threads[t].events)
+            blocks[t].push(e);
+    return blocks;
+}
+
+TEST(AdoptReslice, SpansPartitionTheSourceEpochs)
 {
     const Trace trace = makeSkewedMarkedTrace(17);
-    EpochStream::Config cfg;
-    cfg.fromHeartbeats = true;
-    cfg.windowEpochs = 64;
-    cfg.reslice = [](EpochId, std::span<const std::size_t>) {
-        return std::size_t{3};
-    };
-    EpochStream stream(trace, cfg);
+    const std::size_t source = EpochLayout::fromHeartbeats(trace).numEpochs();
+    std::vector<std::uint32_t> spans;
+    const EpochLayout layout = EpochLayout::adopt(
+        blocksOf(trace),
+        [](EpochId, std::span<const std::size_t>) { return std::size_t{3}; },
+        &spans);
 
     // Threads disagree on marker counts; the slicer pads to the max.
     // 17 nominal epochs + thread 1's duplicates + thread 2's leading
     // marker land somewhere >= 17; whatever the count, the spans must
     // cover it exactly once and numEpochs() must be the group count.
-    EXPECT_GE(stream.sourceEpochs(), 17u);
-    const std::vector<std::uint32_t> &spans = stream.realizedSpans();
-    EXPECT_EQ(stream.numEpochs(), spans.size());
+    EXPECT_GE(source, 17u);
+    EXPECT_EQ(layout.numEpochs(), spans.size());
     std::size_t covered = 0;
     for (const std::uint32_t k : spans) {
         EXPECT_GE(k, 1u);
         covered += k;
     }
-    EXPECT_EQ(covered, stream.sourceEpochs());
+    EXPECT_EQ(covered, source);
 }
 
-TEST(EpochStreamReslice, PolicyReturnIsClampedToValidRange)
+TEST(AdoptReslice, PolicyReturnIsClampedToValidRange)
 {
     const Trace trace = makeSkewedMarkedTrace(9);
+    const std::size_t source = EpochLayout::fromHeartbeats(trace).numEpochs();
     for (const std::size_t raw : {std::size_t{0}, std::size_t{1000}}) {
-        EpochStream::Config cfg;
-        cfg.fromHeartbeats = true;
-        cfg.windowEpochs = 64;
-        cfg.reslice = [raw](EpochId, std::span<const std::size_t>) {
-            return raw;
-        };
-        EpochStream stream(trace, cfg);
-        const auto &spans = stream.realizedSpans();
+        std::vector<std::uint32_t> spans;
+        EpochLayout::adopt(
+            blocksOf(trace),
+            [raw](EpochId, std::span<const std::size_t>) { return raw; },
+            &spans);
         ASSERT_FALSE(spans.empty());
         std::size_t covered = 0;
         for (const std::uint32_t k : spans) {
             EXPECT_GE(k, 1u);
             covered += k;
         }
-        EXPECT_EQ(covered, stream.sourceEpochs());
+        EXPECT_EQ(covered, source);
         if (raw == 1000) {
             EXPECT_EQ(spans.size(), 1u); // clamped to all-remaining
         }
     }
 }
 
-/** Streamed blocks across a re-slice must be bit-identical to the
+/** Adopted blocks across a re-slice must be bit-identical to the
  *  coalesced reference layout — same events, same stable first-index —
  *  including the groups whose interior boundaries carry duplicate and
  *  skewed heartbeats. */
-TEST(EpochStreamReslice, BlocksMatchCoalescedLayoutUnderSkew)
+TEST(AdoptReslice, BlocksMatchCoalescedLayoutUnderSkew)
 {
     const Trace trace = makeSkewedMarkedTrace(17);
-    EpochStream::Config cfg;
-    cfg.fromHeartbeats = true;
-    cfg.windowEpochs = 64;
     std::size_t call = 0;
-    cfg.reslice = [&call](EpochId, std::span<const std::size_t>) {
-        static constexpr std::size_t kCycle[4] = {1, 2, 4, 8};
-        return kCycle[call++ % 4];
-    };
-    EpochStream stream(trace, cfg);
+    std::vector<std::uint32_t> spans;
+    const EpochLayout adopted = EpochLayout::adopt(
+        blocksOf(trace),
+        [&call](EpochId, std::span<const std::size_t>) {
+            static constexpr std::size_t kCycle[4] = {1, 2, 4, 8};
+            return kCycle[call++ % 4];
+        },
+        &spans);
 
-    const EpochLayout layout = EpochLayout::coalescedFromHeartbeats(
-        trace, stream.realizedSpans());
-    ASSERT_EQ(layout.numEpochs(), stream.numEpochs());
-    ASSERT_EQ(layout.numThreads(), stream.numThreads());
-
-    for (EpochId l = 0; l < stream.numEpochs(); ++l)
-        stream.acquire(l);
-    for (EpochId l = 0; l < stream.numEpochs(); ++l) {
-        for (ThreadId t = 0; t < stream.numThreads(); ++t) {
-            const BlockView a = stream.block(l, t);
+    const EpochLayout layout =
+        EpochLayout::coalescedFromHeartbeats(trace, spans);
+    ASSERT_EQ(layout.numEpochs(), adopted.numEpochs());
+    ASSERT_EQ(layout.numThreads(), adopted.numThreads());
+    for (EpochId l = 0; l < adopted.numEpochs(); ++l) {
+        for (ThreadId t = 0; t < adopted.numThreads(); ++t) {
+            const BlockView a = adopted.block(l, t);
             const BlockView b = layout.block(l, t);
             ASSERT_EQ(a.size(), b.size()) << "epoch " << l << " tid " << t;
             ASSERT_EQ(a.first, b.first) << "epoch " << l << " tid " << t;
@@ -330,26 +333,26 @@ TEST(EpochStreamReslice, BlocksMatchCoalescedLayoutUnderSkew)
             }
         }
     }
-    for (EpochId l = 0; l < stream.numEpochs(); ++l)
-        stream.retire(l);
 }
 
-TEST(EpochStreamReslice, NullPolicyLeavesTheSourceSlicingUntouched)
+TEST(AdoptReslice, NullPolicyLeavesTheSourceSlicingUntouched)
 {
     const Trace trace = makeSkewedMarkedTrace(11);
-    EpochStream::Config plain;
-    plain.fromHeartbeats = true;
-    EpochStream stream(trace, plain);
-    EXPECT_EQ(stream.numEpochs(), stream.sourceEpochs());
-    EXPECT_TRUE(stream.realizedSpans().empty());
+    std::vector<std::uint32_t> spans;
+    const EpochLayout layout =
+        EpochLayout::adopt(blocksOf(trace), {}, &spans);
+    EXPECT_EQ(layout.numEpochs(),
+              EpochLayout::fromHeartbeats(trace).numEpochs());
+    EXPECT_TRUE(spans.empty());
 }
 
 // ------------------------------------- end-to-end analyzer bit-identity
 
-/** A forced width cycle through a full pipelined analysis must produce
- *  the exact report of an in-process reference run over the coalesced
- *  layout — the tentpole's conformance invariant, without the wire. */
-TEST(EpochStreamReslice, AnalyzeStreamingMatchesCoalescedReference)
+/** A forced width cycle through a full analysis of the adopted blocks
+ *  must produce the exact report of an in-process reference run over
+ *  the coalesced layout — the adaptive server's conformance invariant,
+ *  without the wire. */
+TEST(AdoptReslice, AnalyzeLayoutMatchesCoalescedReference)
 {
     const Trace trace = makeSkewedMarkedTrace(21);
     SessionSpec spec;
@@ -360,16 +363,15 @@ TEST(EpochStreamReslice, AnalyzeStreamingMatchesCoalescedReference)
     spec.heapLimit = 0x1000000 + 0x100000;
     spec.windowEpochs = 4;
 
-    WorkerPool pool(2);
     auto group = std::make_shared<std::size_t>(0);
-    EpochStream::ReslicePolicy cycle =
-        [group](EpochId, std::span<const std::size_t>) {
-            static constexpr std::size_t kCycle[4] = {1, 2, 4, 8};
-            return kCycle[(*group)++ % 4];
-        };
+    const ReslicePolicy cycle = [group](EpochId,
+                                        std::span<const std::size_t>) {
+        static constexpr std::size_t kCycle[4] = {1, 2, 4, 8};
+        return kCycle[(*group)++ % 4];
+    };
     std::vector<std::uint32_t> spans;
-    const RemoteReport remote =
-        analyzeStreaming(spec, trace, pool, cycle, &spans);
+    const RemoteReport remote = analyzeLayout(
+        spec, EpochLayout::adopt(blocksOf(trace), cycle, &spans));
 
     ASSERT_FALSE(spans.empty());
     std::uint64_t changes = 0;

@@ -383,7 +383,12 @@ TEST(CorpusReplay, CheckedInReprosStayClean)
     const std::vector<std::string> files = listCorpus(BFLY_CORPUS_DIR);
     ASSERT_FALSE(files.empty())
         << "no .bfz repros under " << BFLY_CORPUS_DIR;
-    const DifferentialRunner runner;
+    // With the elision axis on: random-soup-259 is an elision repro
+    // (an elided run's records must be compared on the full trace's
+    // indices).
+    RunnerConfig cfg;
+    cfg.checkElision = true;
+    const DifferentialRunner runner(cfg);
     for (const std::string &path : files) {
         const FuzzCase c = loadRepro(path);
         const CaseOutcome outcome = runner.run(c);
@@ -395,20 +400,30 @@ TEST(CorpusReplay, CheckedInReprosStayClean)
 
 TEST(CorpusReplay, StreamingAnalyzerMatchesReferenceOnEveryRepro)
 {
-    // A gate on the service path, independent of the runner's
+    // A gate on the service paths, independent of the runner's
     // internals: every checked-in repro, heartbeat-marked on its layout's
-    // boundaries and run through the server's streaming analyzer, must
-    // produce a report bit-identical to the client's reference, for all
-    // six lifeguards.
+    // boundaries, run through the streaming analyzer and — encoded, cut
+    // into 7-byte chunks and decoded straight into epoch blocks as the
+    // server does — through analyzeLayout, must produce reports
+    // bit-identical to the client's reference, for all six lifeguards.
     const std::vector<std::string> files = listCorpus(BFLY_CORPUS_DIR);
     ASSERT_FALSE(files.empty());
-    WorkerPool pool(2);
     for (const std::string &path : files) {
         const FuzzCase c = loadRepro(path);
         const Trace trace = c.materialize();
         const EpochLayout layout =
             EpochLayout::byGlobalSeq(trace, c.globalH);
         const Trace marked = withHeartbeatMarkers(trace, layout);
+        BlockIngest ingest(marked.numThreads());
+        for (ThreadId t = 0; t < marked.numThreads(); ++t) {
+            const auto bytes = encodeEvents(marked.threads[t].events);
+            for (std::size_t off = 0; off < bytes.size(); off += 7)
+                ASSERT_EQ(ingest.feed(t, {bytes.data() + off,
+                                          std::min<std::size_t>(
+                                              7, bytes.size() - off)}),
+                          DecodeStatus::NeedMore);
+        }
+        const EpochLayout served = std::move(ingest).layout();
         for (int lg = 0; lg < 6; ++lg) {
             service::SessionSpec spec;
             spec.lifeguard = static_cast<std::uint8_t>(lg);
@@ -421,10 +436,14 @@ TEST(CorpusReplay, StreamingAnalyzerMatchesReferenceOnEveryRepro)
             const service::RemoteReport reference =
                 service::analyzeReference(spec, trace, layout);
             const service::RemoteReport streamed =
-                service::analyzeStreaming(spec, marked, pool);
+                service::analyzeStreaming(spec, marked);
             EXPECT_TRUE(streamed.identical(reference))
                 << path << " lifeguard " << lg
                 << ": streaming analyzer diverged from the reference";
+            EXPECT_TRUE(
+                service::analyzeLayout(spec, served).identical(reference))
+                << path << " lifeguard " << lg
+                << ": served path diverged from the reference";
         }
     }
 }

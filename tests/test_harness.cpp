@@ -10,7 +10,6 @@
 
 #include "butterfly/window.hpp"
 #include "common/rng.hpp"
-#include "common/worker_pool.hpp"
 #include "harness/session.hpp"
 #include "lifeguards/addrcheck_oracle.hpp"
 #include "lifeguards/report.hpp"
@@ -126,14 +125,13 @@ accuracyOf(const SessionResult &r)
 }
 
 /**
- * The same numbers for @p config with the passes run in parallel: the
- * trace runSession builds (same workload, interleaving seed and model,
- * no elision) analyzed by the pipelined task graph over an EpochStream
- * with runSession's epoch size, on a pool of @p workers (0: one per
- * trace thread), instead of by the reference loop.
+ * The same numbers for @p config on the streamed path: the trace
+ * runSession builds (same workload, interleaving seed and model, no
+ * elision) analyzed by the step loop over an EpochStream with
+ * runSession's epoch size, instead of over a materialized layout.
  */
 SessionAccuracy
-pipelinedAccuracy(const SessionConfig &config, std::size_t workers = 0)
+pipelinedAccuracy(const SessionConfig &config)
 {
     const Workload w = config.factory(config.workload);
     Rng rng(config.interleaveSeed);
@@ -149,9 +147,8 @@ pipelinedAccuracy(const SessionConfig &config, std::size_t workers = 0)
     EpochStream::Config scfg;
     scfg.globalH = config.epochSize * trace.numThreads();
     EpochStream stream(trace, scfg);
-    WorkerPool pool(workers > 0 ? workers : trace.numThreads());
     ButterflyAddrCheck butterfly(trace.numThreads(), acfg);
-    WindowSchedule(&pool).runPipelined(stream, butterfly);
+    WindowSchedule().runPipelined(stream, butterfly);
 
     AddrCheckOracle oracle(acfg);
     oracle.runOnTrace(trace);
@@ -200,26 +197,6 @@ TEST(SessionPipeline, PipelineModeMatchesSequentialAcrossSeeds)
         const SessionResult seq = runSession(cfg);
         EXPECT_GT(seq.butterflyErrorCount, 0u);
         expectSameAccuracy(accuracyOf(seq), pipelinedAccuracy(cfg));
-    }
-}
-
-TEST(PoolDeterminism, SessionResultsIdenticalAcrossSeeds)
-{
-    // The full harness: the accuracy numbers runSession reports must be
-    // bit-identical to the pipelined path's whatever the pool's width.
-    for (std::uint64_t seed : {1u, 2u, 3u}) {
-        SessionConfig cfg;
-        cfg.factory = makeRandomMix;
-        cfg.workload.numThreads = 4;
-        cfg.workload.instrPerThread = 3000;
-        cfg.workload.seed = seed;
-        cfg.epochSize = 256;
-        const SessionAccuracy seq = accuracyOf(runSession(cfg));
-        for (const std::size_t workers : {1u, 2u, 5u}) {
-            SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
-                         std::to_string(workers) + " workers");
-            expectSameAccuracy(seq, pipelinedAccuracy(cfg, workers));
-        }
     }
 }
 

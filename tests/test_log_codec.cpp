@@ -1,12 +1,16 @@
 /**
  * @file
  * Tests for the compressed event-log codec: exact round-trips for every
- * event kind, compression behaviour on realistic traces, and resilience
- * against truncated input.
+ * event kind, compression behaviour on realistic traces, resilience
+ * against truncated input, and the chunk loop's parity with next().
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
+#include "fuzz/corpus.hpp"
 #include "fuzz/trace_fuzzer.hpp"
 #include "memmodel/interleaver.hpp"
 #include "trace/log_codec.hpp"
@@ -492,6 +496,120 @@ TEST(LogCodec, SiteSummaryChunkedDecodeSurvivesByteSplits)
     EXPECT_EQ(decoded[1].site, 321u);
     EXPECT_EQ(decoded[1].summaryCount(), 1000000u);
 }
+
+// ---------------------------------------------------------------------
+// The chunk loop (decodeChunk) and repeated next() are one decode kernel
+// used two ways; over the same bytes cut the same way they must agree on
+// every event, the final status and the bytes left pending.
+
+#ifdef BFLY_CORPUS_DIR
+
+/** What one decoder made of a chunked log. */
+struct ParityRun
+{
+    HeartbeatBlocks blocks;
+    DecodeStatus status = DecodeStatus::NeedMore;
+    std::size_t pending = 0;
+    std::size_t events = 0;
+};
+
+/** Decode @p bytes cut at @p cuts (sorted offsets) with the chunk loop
+ *  (@p chunk_loop) or feed() + repeated next(); stops at Corrupt. */
+ParityRun
+decodeCut(const std::vector<std::uint8_t> &bytes,
+          const std::vector<std::size_t> &cuts, bool chunk_loop)
+{
+    ParityRun run;
+    ChunkedLogDecoder dec;
+    std::size_t from = 0;
+    for (std::size_t k = 0; k <= cuts.size(); ++k) {
+        const std::size_t to = k < cuts.size() ? cuts[k] : bytes.size();
+        const std::span<const std::uint8_t> chunk(bytes.data() + from,
+                                                  to - from);
+        from = to;
+        if (chunk_loop) {
+            run.status = dec.decodeChunk(chunk, run.blocks);
+        } else {
+            dec.feed(chunk);
+            Event e;
+            while ((run.status = dec.next(e)) == DecodeStatus::Ok)
+                run.blocks.push(e);
+        }
+        if (run.status == DecodeStatus::Corrupt)
+            break;
+    }
+    run.pending = dec.pendingBytes();
+    run.events = dec.eventsDecoded();
+    return run;
+}
+
+void
+expectParity(const std::vector<std::uint8_t> &bytes, Rng &rng,
+             const std::string &label)
+{
+    std::vector<std::size_t> cuts;
+    for (std::size_t k = rng.below(8); k > 0; --k)
+        cuts.push_back(rng.below(bytes.size() + 1));
+    std::sort(cuts.begin(), cuts.end());
+    const ParityRun a = decodeCut(bytes, cuts, true);
+    const ParityRun b = decodeCut(bytes, cuts, false);
+    ASSERT_EQ(a.status, b.status) << label;
+    ASSERT_EQ(a.pending, b.pending) << label;
+    ASSERT_EQ(a.events, b.events) << label;
+    ASSERT_EQ(a.blocks.starts, b.blocks.starts) << label;
+    ASSERT_EQ(a.blocks.summaries, b.blocks.summaries) << label;
+    ASSERT_EQ(a.blocks.events.size(), b.blocks.events.size()) << label;
+    for (std::size_t i = 0; i < a.blocks.events.size(); ++i) {
+        const Event &x = a.blocks.events[i];
+        const Event &y = b.blocks.events[i];
+        ASSERT_TRUE(sameForLifeguards(x, y) && x.site == y.site &&
+                    (x.kind != EventKind::SiteSummary ||
+                     x.summaryCount() == y.summaryCount()))
+            << label << " event " << i;
+    }
+}
+
+TEST(LogCodec, ChunkLoopMatchesRepeatedNext)
+{
+    // Every corpus repro's per-thread logs (heartbeat-marked on its
+    // layout), then ~1,000 mutants: every truncation of one log and
+    // random bit flips across all of them.
+    std::vector<std::vector<std::uint8_t>> logs;
+    for (const std::string &path : fuzz::listCorpus(BFLY_CORPUS_DIR)) {
+        const fuzz::FuzzCase c = fuzz::loadRepro(path);
+        const Trace trace = c.materialize();
+        const Trace marked = withHeartbeatMarkers(
+            trace, EpochLayout::byGlobalSeq(trace, c.globalH));
+        for (const ThreadTrace &t : marked.threads)
+            logs.push_back(encodeEvents(t.events));
+    }
+    ASSERT_FALSE(logs.empty());
+
+    Rng rng(31337);
+    for (std::size_t i = 0; i < logs.size(); ++i)
+        expectParity(logs[i], rng, "corpus log " + std::to_string(i));
+
+    const auto longest = std::max_element(
+        logs.begin(), logs.end(),
+        [](const auto &x, const auto &y) { return x.size() < y.size(); });
+    const std::size_t truncations = std::min<std::size_t>(
+        longest->size(), 500);
+    for (std::size_t cut = 0; cut < truncations; ++cut)
+        expectParity({longest->begin(),
+                      longest->begin() + static_cast<std::ptrdiff_t>(cut)},
+                     rng, "truncated at " + std::to_string(cut));
+
+    for (int flip = 0; flip < 500; ++flip) {
+        std::vector<std::uint8_t> mutant = logs[rng.below(logs.size())];
+        if (mutant.empty())
+            continue;
+        mutant[rng.below(mutant.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.below(8));
+        expectParity(mutant, rng, "bit flip " + std::to_string(flip));
+    }
+}
+
+#endif
 
 TEST(LogCodec, LoadRejectsGarbage)
 {

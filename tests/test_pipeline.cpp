@@ -1,16 +1,15 @@
 /**
  * @file
- * The pipelined (dependency-task-graph) window schedule: determinism
- * against the reference loop for every lifeguard, the streaming epoch
- * source's equivalence with the materialized layout, the bounded
- * residency guarantee, and the worker pool's task protocol that carries
- * it all.
+ * The streamed window schedule (the step loop over an EpochStream):
+ * determinism against the reference loop for every lifeguard, the
+ * streaming epoch source's equivalence with the materialized layout, the
+ * bounded residency guarantee, and the worker pool's task protocol that
+ * the monitoring service runs its sessions on.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <functional>
-#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -39,7 +38,7 @@ namespace bfly {
 namespace {
 
 // --------------------------------------------------------------------
-// WorkerPool task protocol (what the graph scheduler runs on).
+// WorkerPool task protocol (what the service runs sessions on).
 // --------------------------------------------------------------------
 
 TEST(WorkerPoolTasks, RunsEverySubmittedTask)
@@ -163,9 +162,9 @@ mixTrace(std::uint64_t seed, Workload &w_out)
 }
 
 // --------------------------------------------------------------------
-// Pipelined == reference, for every lifeguard. The task graph may
-// reorder anything the dependency edges allow; the analysis results may
-// not change at all.
+// Streamed == reference, for every lifeguard. The stream admits and
+// retires epochs around the steps; the analysis results may not change
+// at all.
 // --------------------------------------------------------------------
 
 /** One input trace with the epoch size and heap window to run it at. */
@@ -329,13 +328,11 @@ rowNamed(std::string_view name)
 
 /**
  * Run @p lg over every input with the reference loop and with the
- * pipelined graph on a pool of each of @p widths workers (0: one per
- * trace thread); every pipelined run must observe exactly what the
+ * streamed loop; every streamed run must observe exactly what the
  * reference did.
  */
 void
-expectPipelinedMatchesReference(const LifeguardRow &lg,
-                                std::initializer_list<std::size_t> widths)
+expectPipelinedMatchesReference(const LifeguardRow &lg)
 {
     std::size_t flagged = 0;
     for (const DeterminismInput &in : sharedInputs()) {
@@ -345,24 +342,16 @@ expectPipelinedMatchesReference(const LifeguardRow &lg,
         const Observed reference = lg.run(
             in, L, [&](AnalysisDriver &d) { WindowSchedule().run(layout, d); });
         flagged += reference.records.size();
-        for (const std::size_t width : widths) {
-            WorkerPool pool(width > 0 ? width
-                                      : std::max<std::size_t>(
-                                            1, in.trace.numThreads()));
-            EpochStream stream(in.trace,
-                               EpochStream::Config{in.globalH, 4, nullptr});
-            PipelineStats stats;
-            const Observed pipelined = lg.run(
-                in, L, [&](AnalysisDriver &d) {
-                    stats = WindowSchedule(&pool).runPipelined(stream, d);
-                });
-            EXPECT_TRUE(reference == pipelined)
-                << lg.name << " on " << in.name << ", " << pool.workers()
-                << " workers";
-            EXPECT_EQ(stats.epochsFinalized, L) << lg.name << " on "
-                                                << in.name;
-            EXPECT_EQ(stream.residentEpochs(), 0u);
-        }
+        EpochStream stream(in.trace,
+                           EpochStream::Config{in.globalH, 4, nullptr});
+        PipelineStats stats;
+        const Observed pipelined =
+            lg.run(in, L, [&](AnalysisDriver &d) {
+                stats = WindowSchedule().runPipelined(stream, d);
+            });
+        EXPECT_TRUE(reference == pipelined) << lg.name << " on " << in.name;
+        EXPECT_EQ(stats.epochsFinalized, L) << lg.name << " on " << in.name;
+        EXPECT_EQ(stream.residentEpochs(), 0u);
     }
     // Every error-reporting lifeguard must actually flag something on
     // these inputs, or its row compares two empty reports.
@@ -373,69 +362,35 @@ expectPipelinedMatchesReference(const LifeguardRow &lg,
 
 TEST(PipelineDeterminism, AddrCheckMatchesSequentialAcrossSeeds)
 {
-    expectPipelinedMatchesReference(rowNamed("ADDRCHECK"), {0});
+    expectPipelinedMatchesReference(rowNamed("ADDRCHECK"));
 }
 
 TEST(PipelineDeterminism, TaintCheckMatchesSequentialAcrossSeeds)
 {
-    expectPipelinedMatchesReference(rowNamed("TAINTCHECK"), {0});
+    expectPipelinedMatchesReference(rowNamed("TAINTCHECK"));
 }
 
 TEST(PipelineDeterminism, DefCheckMatchesSequentialAcrossSeeds)
 {
-    expectPipelinedMatchesReference(rowNamed("DEFINEDCHECK"), {0});
+    expectPipelinedMatchesReference(rowNamed("DEFINEDCHECK"));
 }
 
 TEST(PipelineDeterminism, ReachingDefsMatchesSequentialAcrossSeeds)
 {
-    expectPipelinedMatchesReference(rowNamed("REACHING-DEFS"), {0});
+    expectPipelinedMatchesReference(rowNamed("REACHING-DEFS"));
 }
 
 TEST(PipelineDeterminism, LockSetMatchesSequentialAcrossSeeds)
 {
-    expectPipelinedMatchesReference(rowNamed("LOCKSET"), {0});
+    expectPipelinedMatchesReference(rowNamed("LOCKSET"));
 }
 
 TEST(PipelineDeterminism, AddrLeakMatchesSequentialAcrossSeeds)
 {
-    expectPipelinedMatchesReference(rowNamed("ADDRLEAK"), {0});
+    expectPipelinedMatchesReference(rowNamed("ADDRLEAK"));
 }
 
-// The pool's width decides which tasks overlap, never what they compute:
-// one worker runs the graph serially, and more workers than trace
-// threads leave some idle while others steal across epochs.
-
-TEST(PoolDeterminism, AddrCheckMatchesSequentialAcrossSeeds)
-{
-    expectPipelinedMatchesReference(rowNamed("ADDRCHECK"), {1, 2, 5});
-}
-
-TEST(PoolDeterminism, TaintCheckMatchesSequentialAcrossSeeds)
-{
-    expectPipelinedMatchesReference(rowNamed("TAINTCHECK"), {1, 2, 5});
-}
-
-TEST(PoolDeterminism, DefCheckMatchesSequentialAcrossSeeds)
-{
-    expectPipelinedMatchesReference(rowNamed("DEFINEDCHECK"), {1, 2, 5});
-}
-
-TEST(PoolDeterminism, ReachingDefsMatchesSequentialAcrossSeeds)
-{
-    expectPipelinedMatchesReference(rowNamed("REACHING-DEFS"), {1, 2, 5});
-}
-
-TEST(PoolDeterminism, LockSetMatchesSequentialAcrossSeeds)
-{
-    expectPipelinedMatchesReference(rowNamed("LOCKSET"), {1, 2, 5});
-}
-
-TEST(PoolDeterminism, AddrLeakMatchesSequentialAcrossSeeds)
-{
-    expectPipelinedMatchesReference(rowNamed("ADDRLEAK"), {1, 2, 5});
-}
-
-TEST(PipelineDeterminism, TaskCountMatchesGraphShape)
+TEST(PipelineDeterminism, StepCountMatchesWindowShape)
 {
     Workload w;
     const Trace trace = mixTrace(11, w);
@@ -447,16 +402,16 @@ TEST(PipelineDeterminism, TaskCountMatchesGraphShape)
     AddrCheckConfig cfg;
     cfg.heapBase = w.heapBase;
     cfg.heapLimit = w.heapLimit;
-    WorkerPool pool(T);
     ButterflyAddrCheck pipe(layout, cfg);
     EpochStream stream(trace, EpochStream::Config{512, 4, nullptr});
     const PipelineStats stats =
-        WindowSchedule(&pool).runPipelined(stream, pipe);
+        WindowSchedule().runPipelined(stream, pipe);
 
-    // A(0..L) + P1 + P2 + F + R.
-    EXPECT_EQ(stats.tasksRun, (L + 1) + 2 * L * T + 2 * L);
+    // Pass 1 and pass 2 of every block, one finalize per epoch; epoch l
+    // is admitted before l-1 retires, so two epochs are resident at peak.
+    EXPECT_EQ(stats.tasksRun, 2 * L * T + L);
     EXPECT_EQ(stats.epochsFinalized, L);
-    EXPECT_GE(stats.peakResidentEpochs, 1u);
+    EXPECT_EQ(stats.peakResidentEpochs, 2u);
 }
 
 TEST(PipelineDeterminism, EmptyTraceIsANoOp)
@@ -526,10 +481,9 @@ TEST(EpochStream, PipelinedStreamingMatchesSequentialLayout)
         WindowSchedule().run(layout, seq);
 
         EpochStream stream(trace, EpochStream::Config{H, 4, nullptr});
-        WorkerPool pool(stream.numThreads());
         ButterflyAddrCheck pipe(stream.numThreads(), cfg);
         const PipelineStats stats =
-            WindowSchedule(&pool).runPipelined(stream, pipe);
+            WindowSchedule().runPipelined(stream, pipe);
 
         EXPECT_EQ(sortedRecords(seq.errors()),
                   sortedRecords(pipe.errors()))
@@ -541,7 +495,7 @@ TEST(EpochStream, PipelinedStreamingMatchesSequentialLayout)
         EXPECT_GE(stats.peakResidentEpochs, 1u);
         EXPECT_LE(stats.peakResidentEpochs, stream.windowEpochs());
         EXPECT_EQ(stream.residentEpochs(), 0u)
-            << "every epoch must be retired by graph completion";
+            << "every epoch must be retired when the loop returns";
     }
 }
 
@@ -566,10 +520,9 @@ TEST(EpochStream, StrictDriverStreamsToo)
     WindowSchedule().run(layout, seq);
 
     EpochStream stream(trace, EpochStream::Config{H, 4, nullptr});
-    WorkerPool pool(stream.numThreads());
     ButterflyTaintCheck pipe(layout, cfg);
     const PipelineStats stats =
-        WindowSchedule(&pool).runPipelined(stream, pipe);
+        WindowSchedule().runPipelined(stream, pipe);
 
     EXPECT_EQ(sortedRecords(seq.errors()), sortedRecords(pipe.errors()));
     EXPECT_LE(stats.peakResidentEpochs, stream.windowEpochs());
@@ -588,10 +541,9 @@ TEST(EpochStream, BackPressureRecordsProducerStalls)
     AddrCheckConfig cfg;
     cfg.heapBase = w.heapBase;
     cfg.heapLimit = w.heapLimit;
-    WorkerPool pool(stream.numThreads());
     ButterflyAddrCheck pipe(stream.numThreads(), cfg);
     const PipelineStats stats =
-        WindowSchedule(&pool).runPipelined(stream, pipe);
+        WindowSchedule().runPipelined(stream, pipe);
 
     EXPECT_GT(stats.producerStalls, 0u);
     EXPECT_EQ(stats.producerStalls, buffer.producerStalls());

@@ -622,8 +622,7 @@ TEST(Analyzer, TaintCheckRangeEndingAtTheLastByteCompletes)
     spec.numThreads = static_cast<std::uint32_t>(trace.numThreads());
     spec.granularity = 1;
 
-    WorkerPool pool(2);
-    const RemoteReport streamed = analyzeStreaming(spec, trace, pool);
+    const RemoteReport streamed = analyzeStreaming(spec, trace);
     EXPECT_TRUE(streamed.identical(referenceFor(spec, trace)));
     ASSERT_EQ(streamed.records.size(), 1u);
     EXPECT_EQ(streamed.records[0].kind, ErrorKind::TaintedUse);
@@ -1056,6 +1055,31 @@ TEST(MonitorService, SessionTelemetryIsIsolatedPerSession)
     EXPECT_LT(snapshot.value("bfly.service.session.events"),
               totalEvents(big));
     EXPECT_GT(snapshot.value("bfly.service.session.chunks"), 0u);
+    server.stop();
+}
+
+TEST(MonitorService, SessionRegistryTimesDecodeAndAnalysis)
+{
+    // Per-session stage times: what the pump spent decoding chunks into
+    // epoch blocks, and what the analysis task spent on the window.
+    telemetry::setEnabled(true);
+    ServerConfig scfg;
+    scfg.unixPath = tempSocketPath("stages");
+    scfg.workers = 2;
+    MonitorServer server(scfg);
+    ASSERT_TRUE(server.start());
+
+    const Addr heap = 0x300000;
+    const Trace marked = makeMarkedTrace(2, 8, 50, heap);
+    MonitorClient client;
+    ASSERT_TRUE(client.connectUnix(scfg.unixPath));
+    const RunResult remote = client.run(addrcheckSpec(marked, heap), marked);
+    ASSERT_TRUE(remote.ok) << remote.error;
+
+    const telemetry::RegistrySnapshot snapshot =
+        server.lastSessionMetrics();
+    EXPECT_GT(snapshot.value("bfly.service.session.decode_ns"), 0u);
+    EXPECT_GT(snapshot.value("bfly.service.session.analysis_ns"), 0u);
     server.stop();
 }
 
