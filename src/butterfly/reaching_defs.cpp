@@ -50,9 +50,8 @@ ReachingDefinitions::priv(EpochId l, ThreadId t)
 void
 ReachingDefinitions::beginPass(EpochId l, bool second)
 {
-    // Pre-size the per-epoch block storage on the scheduler thread; a
-    // resize during the parallel fan-out would invalidate references the
-    // sibling blocks are reading (computeLsos walks epochs l-1/l-2).
+    // Size the per-epoch block storage once per pass, before its blocks
+    // run, rather than on each block's first touch.
     (void)second;
     if (blocks_.size() <= l)
         blocks_.resize(l + 1);

@@ -32,9 +32,8 @@ ReachingExpressions::priv(EpochId l, ThreadId t)
 void
 ReachingExpressions::beginPass(EpochId l, bool second)
 {
-    // Pre-size the per-epoch block storage on the scheduler thread; a
-    // resize during the parallel fan-out would invalidate references
-    // sibling blocks read while computing their LSOS.
+    // Size the per-epoch block storage once per pass, before its blocks
+    // run, rather than on each block's first touch.
     (void)second;
     if (blocks_.size() <= l)
         blocks_.resize(l + 1);

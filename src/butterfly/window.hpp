@@ -37,7 +37,14 @@ namespace bfly {
 
 class WorkerPool;
 
-/** Hooks a butterfly analysis implements; called by WindowSchedule. */
+/**
+ * Hooks a butterfly analysis implements; called by WindowSchedule.
+ *
+ * Threading contract: a schedule calls every hook of one driver on one
+ * thread, one call after another, so a driver needs no locks of its
+ * own. Separate drivers (the service's concurrent sessions) run on
+ * different threads at once and must share no mutable state.
+ */
 class AnalysisDriver
 {
   public:
@@ -62,11 +69,10 @@ class AnalysisDriver
     virtual void finalizeEpoch(EpochId l) = 0;
 
     /**
-     * Called single-threaded immediately before the blocks of a pass
-     * over epoch @p l run (@p second selects pass 2). Drivers that grow
-     * shared containers lazily (e.g. the per-epoch block vectors in
-     * reaching_defs) override this to pre-size them, so concurrent
-     * blocks only touch disjoint, already-allocated slots.
+     * Called immediately before the blocks of a pass over epoch @p l
+     * run (@p second selects pass 2). Drivers that grow per-epoch
+     * containers lazily (e.g. the block vectors in reaching_defs)
+     * override this to size them once per pass instead of per block.
      */
     virtual void beginPass(EpochId l, bool second)
     {

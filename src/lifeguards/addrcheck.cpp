@@ -230,9 +230,6 @@ ButterflyAddrCheck::commitBlock(EpochId l, ThreadId t,
         if (pass2_skipped)
             reg.add(m.pass2BlocksSkipped);
     }
-    if (local.empty() && checks == 0 && isolation == 0)
-        return; // nothing to commit: skip the lock
-    std::lock_guard<std::mutex> guard(mutex_);
     for (const ErrorRecord &rec : local) {
         if (errors_.report(rec))
             ++errorsPerBlock_[blockKey(l, t)];
@@ -285,10 +282,7 @@ ButterflyAddrCheck::pass1(const BlockView &block)
 
     const std::uint64_t size =
         s.genEnd.size() + s.killEnd.size() + s.access.size();
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        summarySizes_[blockKey(l, t)] = size;
-    }
+    summarySizes_[blockKey(l, t)] = size;
     if (telemetry::enabled()) {
         telemetry::registry().observe(AddrCheckTelemetry::get().summarySize,
                                       size);

@@ -20,10 +20,9 @@
  * provides ground truth; Theorem 6.1 (zero false negatives) is checked in
  * the test suite against both SC and TSO executions.
  *
- * Thread safety: pass1/pass2 may be invoked concurrently for different
- * blocks (the paper's parallel lifeguard cores). Per-block state is disjoint;
- * shared state (error log, counters) is committed once per block under a
- * mutex. finalizeEpoch is single-writer by design.
+ * Thread safety: one instance's hooks run on one thread (the
+ * AnalysisDriver contract). Per-block state is disjoint, and each block's
+ * reports and counters are committed to the shared log once, at its end.
  */
 
 #ifndef BUTTERFLY_LIFEGUARDS_ADDRCHECK_HPP
@@ -31,7 +30,6 @@
 
 #include <array>
 #include <bit>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -157,7 +155,7 @@ class ButterflyAddrCheck : public AnalysisDriver
     BlockSummary &resetSlot(EpochId l, ThreadId t);
     const BlockSummary *slotIfValid(EpochId l, ThreadId t) const;
 
-    /** Commit a block's locally-collected reports under the mutex;
+    /** Commit a block's locally-collected reports to the shared log;
      *  @p pass2_skipped marks a pass-2 block that could flag nothing. */
     void commitBlock(EpochId l, ThreadId t,
                      const std::vector<ErrorRecord> &local_errors,
@@ -174,7 +172,6 @@ class ButterflyAddrCheck : public AnalysisDriver
 
     IntervalSet sos_; ///< single-writer SOS, advanced in finalizeEpoch
 
-    std::mutex mutex_; ///< guards the shared members below
     ErrorLog errors_;
     std::unordered_map<std::uint64_t, std::uint64_t> errorsPerBlock_;
     std::unordered_map<std::uint64_t, std::uint64_t> summarySizes_;

@@ -48,7 +48,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -154,14 +153,12 @@ class ButterflyAddrLeak : public AnalysisDriver
     /** Single-slot window may-set cache, keyed by epoch. */
     AddrSet windowMay_;
     EpochId windowMayEpoch_ = kNoEpoch;
-    std::mutex wmMutex_;
 
     /** SOS double buffer: sosPrev_ = SOS_l while epoch l is in pass 2,
      *  sosCur_ = SOS_{l+1} (the TAINTCHECK idiom). */
     AddrSet sosPrev_;
     AddrSet sosCur_;
 
-    std::mutex mutex_; ///< guards errors_ / checks_ commits from pass 2
     ErrorLog errors_;
     std::uint64_t checks_ = 0;
 };

@@ -95,24 +95,15 @@ ButterflyDefCheck::pass2(const BlockView &block)
     // in one forward walk over the block.
     const ThreadId t = block.thread;
     ReachingExpressions::InWalk walk(exprs_, block.epoch, t);
-    // Pass-2 blocks run concurrently; buffer reports and commit once.
-    std::vector<ErrorRecord> block_errors;
     for (InstrOffset i = 0; i < block.size(); ++i) {
         const Event &e = block.events[i];
         forEachRead(e, [&](Addr base) {
             const auto keys = keysOf(config_, base, e.size);
             if (keys && !walk.allIn(i, *keys))
-                block_errors.push_back(ErrorRecord{
-                    t, block.first + i, base, ErrorKind::UninitializedRead,
-                    e.size});
+                errors_.report(t, block.first + i, base,
+                               ErrorKind::UninitializedRead, e.size);
         });
     }
-    if (block_errors.empty())
-        return;
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const ErrorRecord &rec : block_errors)
-        errors_.report(rec);
 }
 
 void

@@ -122,7 +122,6 @@ ButterflyLockSet::pass1(const BlockView &block)
     s.setMask = set_prefix;
     s.clearMask = clear_prefix;
 
-    std::lock_guard<std::mutex> guard(mutex_);
     accesses_ += local_accesses;
 }
 

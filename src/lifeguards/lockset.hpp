@@ -57,7 +57,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -188,10 +187,6 @@ class ButterflyLockSet : public AnalysisDriver
     std::unordered_map<Addr, KeyState> keyState_; ///< finalize-owned
     EpochId nextAbsorb_ = 0; ///< next epoch to fold into accessor state
 
-    /** Guards accesses_ (committed from parallel pass-1 blocks); errors_
-     *  is only written in finalizeEpoch, which the strict schedule makes
-     *  a globally quiescent point. */
-    std::mutex mutex_;
     ErrorLog errors_;
     std::uint64_t accesses_ = 0;
 };

@@ -373,9 +373,6 @@ ButterflyTaintCheck::pass2(const BlockView &block)
     std::unordered_map<Addr, bool> last_check_phase[2];
     std::unordered_map<Addr, std::int64_t> roots;
 
-    // Pass-2 blocks run concurrently; buffer shared-state updates and
-    // commit them once at the end of the block.
-    std::vector<ErrorRecord> block_errors;
     std::uint64_t block_resolved = 0;
     std::uint64_t block_fallbacks = 0;
 
@@ -438,10 +435,9 @@ ButterflyTaintCheck::pass2(const BlockView &block)
                 ctx.startCheck();
                 const bool tainted =
                     resolveKey(config_.keyOf(e.addr), ctx);
-                if (tainted) {
-                    block_errors.push_back(ErrorRecord{
-                        t, index, e.addr, ErrorKind::TaintedUse, e.size});
-                }
+                if (tainted)
+                    errors_.report(t, index, e.addr, ErrorKind::TaintedUse,
+                                   e.size);
                 break;
               }
               default:
@@ -465,13 +461,8 @@ ButterflyTaintCheck::pass2(const BlockView &block)
         telemetry::registry().add(TaintCheckTelemetry::get().resolveFallbacks,
                                   block_fallbacks);
     }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        checksResolved_ += block_resolved;
-        resolveFallbacks_ += block_fallbacks;
-        for (const ErrorRecord &rec : block_errors)
-            errors_.report(rec);
-    }
+    checksResolved_ += block_resolved;
+    resolveFallbacks_ += block_fallbacks;
 
     // LASTCHECK = OR of the two phases' last-write resolutions.
     bs.lastCheck = last_check_phase[0];

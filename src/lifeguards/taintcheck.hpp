@@ -35,7 +35,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -176,7 +175,7 @@ class ButterflyTaintCheck : public AnalysisDriver
         std::vector<Addr> path;
         unsigned depth = 0;
         /** Resolutions performed through this context (committed to the
-         *  shared counter at end of pass 2, under the mutex). */
+         *  shared counter at end of pass 2). */
         std::uint64_t resolved = 0;
         /** ctx.resolved at the start of the current check (budget base). */
         std::uint64_t budgetMark = 0;
@@ -220,9 +219,6 @@ class ButterflyTaintCheck : public AnalysisDriver
     AddrSet sosPrev_; ///< SOS_l   while pass 2 of epoch l runs
     AddrSet sosCur_;  ///< SOS_{l+1} (already advanced by finalize(l-1))
 
-    /** Guards errors_ and the counters: pass-2 blocks run in parallel
-     *  and buffer their reports locally, committing once per block. */
-    std::mutex mutex_;
     ErrorLog errors_;
     std::uint64_t checksResolved_ = 0;
     std::uint64_t resolveFallbacks_ = 0;

@@ -185,9 +185,15 @@ class ChunkedLogDecoder
 class BlockIngest
 {
   public:
-    explicit BlockIngest(std::size_t threads = 0)
-        : decoders_(threads), blocks_(threads)
-    {}
+    /**
+     * @param storage  event vectors to decode into, one per thread from
+     *                 thread 0 (typically a spent layout's
+     *                 releaseEvents()): they are emptied but keep their
+     *                 capacity. Threads beyond it start with fresh
+     *                 vectors; vectors beyond @p threads are freed.
+     */
+    explicit BlockIngest(std::size_t threads = 0,
+                         std::vector<std::vector<Event>> storage = {});
 
     /** Decode one chunk of thread @p t's log (see decodeChunk). */
     DecodeStatus
